@@ -10,7 +10,7 @@
 //                          [--baseline=secs] [--baseline-note=text]
 //                          [--reps=N] [--jobs=N|auto]
 //                          [--carriers=N|auto] [--charge=interp|tape]
-//                          [--settle=gang|closed|auto] [--fuse=off|on]
+//                          [--settle=chain|closed] [--fuse=off|on]
 //                          [--prof=off|counters|sampled]
 //                          [--coll=tree|ring|rd|auto]
 //                          [--engine=threads|pooled|both] [--trace-out=dir]
@@ -24,12 +24,12 @@
 // identical); --jobs=auto resolves to the host's hardware
 // concurrency.  --carriers pins the pooled engine's carrier-thread
 // count (exported as SKIL_CARRIERS so forked cell workers inherit
-// it); 'auto' resolves to hardware concurrency, >1 enables gang
-// settlement.  --charge selects the accounting path of the skeleton
-// hot loops (default: the process default, i.e. SKIL_CHARGE or tape).
+// it); 'auto' resolves to hardware concurrency.  --charge selects the
+// accounting path of the skeleton hot loops (default: the process
+// default, i.e. SKIL_CHARGE or tape).
 // --settle selects the ledger settlement strategy (charge_tape.h;
-// default: the process default, i.e. SKIL_SETTLE or auto) -- every
-// mode retires the identical add chain, so it moves wall time only.
+// default: the process default, i.e. SKIL_SETTLE or closed) -- both
+// modes retire the identical add chain, so it moves wall time only.
 // --fuse selects the skeleton fusion mode (charge_tape.h; default:
 // the process default, i.e. SKIL_FUSE or off) -- 'on' runs the fused
 // one-pass compositions, which lowers the *virtual* times too (the
@@ -50,8 +50,9 @@
 // (after the timed sweep, so the timings stay untraced) and writes its
 // Chrome trace + metrics JSON (parix/metrics.h) into the directory;
 // under --prof=sampled the trace also carries the host carrier lanes.
+// A bad knob value prints the accepted values and exits with status 2.
 //
-// The JSON report (default BENCH_engine.json, schema_version 8)
+// The JSON report (default BENCH_engine.json, schema_version 9)
 // records the run configuration (reps, jobs, nproc, charge path,
 // settle mode) and per-cell wall seconds + virtual times alongside
 // both engines' totals, so EXPERIMENTS.md can cite the engine speedup
@@ -65,6 +66,10 @@
 // reads as a slowdown unless the provenance travels with it.
 //
 // Schema history:
+//   v9: gang settlement is gone (SKIL_SETTLE is chain|closed).
+//       settle_counters drops gang_parks and gang_adds; the scheduler
+//       block drops settle_enqueues, settle_ns, gang_batches, the
+//       lane-occupancy histogram and settle_queue_max.
 //   v8: adds "coll" (collective-algorithm family, SKIL_COLL) and
 //       per-engine "coll_counters" (per-op calls by resolved
 //       algorithm, bytes, hop sums, rounds, order fallbacks, summed
@@ -121,6 +126,7 @@
 #include "parix/runtime.h"
 #include "parix/trace.h"
 #include "support/cli.h"
+#include "support/error.h"
 
 int main(int argc, char** argv) {
   using namespace skil;
@@ -142,57 +148,59 @@ int main(int argc, char** argv) {
       jobs_arg == "auto"
           ? static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))
           : std::max(1, std::atoi(jobs_arg.c_str()));
-  if (cli.has("carriers")) {
-    // Exported instead of set in-process only: forked cell workers
-    // must resolve the same carrier count.  Invalid values fail
-    // loudly inside executor_carriers() below.
-    ::setenv("SKIL_CARRIERS", cli.get("carriers", "auto").c_str(), 1);
-    parix::executor_set_carriers(0);
+  // The knob parsers raise ContractError naming the accepted values;
+  // a bad value is a usage error, not a crash.
+  int carriers = 0;
+  try {
+    if (cli.has("carriers")) {
+      // Exported instead of set in-process only: forked cell workers
+      // must resolve the same carrier count.  Invalid values fail
+      // loudly inside executor_carriers() below.
+      ::setenv("SKIL_CARRIERS", cli.get("carriers", "auto").c_str(), 1);
+      parix::executor_set_carriers(0);
+    }
+    carriers = parix::executor_carriers();
+    if (cli.has("charge"))
+      parix::set_default_charge_path(
+          parix::parse_charge_path(cli.get("charge", "tape")));
+    if (cli.has("settle")) {
+      // Exported as well as set in-process: the in-process slot is
+      // inherited across fork by the cell workers, and the env var
+      // keeps any tooling that re-execs (trace viewers, wrapper
+      // scripts) on the same configuration.  --fuse, --prof and
+      // --coll follow the same pattern.
+      const std::string settle_arg = cli.get("settle", "closed");
+      parix::set_default_settle_mode(parix::parse_settle_mode(settle_arg));
+      ::setenv("SKIL_SETTLE", settle_arg.c_str(), 1);
+    }
+    if (cli.has("fuse")) {
+      const std::string fuse_arg = cli.get("fuse", "off");
+      parix::set_default_fuse_mode(parix::parse_fuse_mode(fuse_arg));
+      ::setenv("SKIL_FUSE", fuse_arg.c_str(), 1);
+    }
+    if (cli.has("prof")) {
+      const std::string prof_arg = cli.get("prof", "off");
+      parix::set_default_prof_mode(parix::parse_prof_mode(prof_arg));
+      ::setenv("SKIL_PROF", prof_arg.c_str(), 1);
+    }
+    if (cli.has("coll")) {
+      const std::string coll_arg = cli.get("coll", "auto");
+      parix::set_default_coll_mode(parix::parse_coll_mode(coll_arg));
+      ::setenv("SKIL_COLL", coll_arg.c_str(), 1);
+    }
+  } catch (const support::ContractError& err) {
+    std::fprintf(stderr, "bench_engine_wall: %s\n", err.what());
+    return 2;
   }
-  const int carriers = parix::executor_carriers();
-  if (cli.has("charge"))
-    parix::set_default_charge_path(
-        parix::parse_charge_path(cli.get("charge", "tape")));
   const char* charge_name =
       parix::default_charge_path() == parix::ChargePath::kTape ? "tape"
                                                                : "interp";
-  if (cli.has("settle")) {
-    // Exported as well as set in-process: the in-process slot is
-    // inherited across fork by the cell workers, and the env var keeps
-    // any tooling that re-execs (trace viewers, wrapper scripts) on
-    // the same configuration.
-    const std::string settle_arg = cli.get("settle", "auto");
-    parix::set_default_settle_mode(parix::parse_settle_mode(settle_arg));
-    ::setenv("SKIL_SETTLE", settle_arg.c_str(), 1);
-  }
   const std::string settle_name(
       parix::settle_mode_name(parix::default_settle_mode()));
-  if (cli.has("fuse")) {
-    // In-process slot for this process, env var for anything that
-    // re-execs (same pattern as --settle; forked cell workers inherit
-    // the in-process slot).
-    const std::string fuse_arg = cli.get("fuse", "off");
-    parix::set_default_fuse_mode(parix::parse_fuse_mode(fuse_arg));
-    ::setenv("SKIL_FUSE", fuse_arg.c_str(), 1);
-  }
   const std::string fuse_name(
       parix::fuse_mode_name(parix::default_fuse_mode()));
-  if (cli.has("prof")) {
-    // In-process slot for this process, env var for the forked cell
-    // workers and anything that re-execs (same pattern as --settle).
-    const std::string prof_arg = cli.get("prof", "off");
-    parix::set_default_prof_mode(parix::parse_prof_mode(prof_arg));
-    ::setenv("SKIL_PROF", prof_arg.c_str(), 1);
-  }
   const parix::ProfMode prof_mode = parix::default_prof_mode();
   const std::string prof_name(parix::prof_mode_name(prof_mode));
-  if (cli.has("coll")) {
-    // In-process slot for this process, env var for the forked cell
-    // workers and anything that re-execs (same pattern as --settle).
-    const std::string coll_arg = cli.get("coll", "auto");
-    parix::set_default_coll_mode(parix::parse_coll_mode(coll_arg));
-    ::setenv("SKIL_COLL", coll_arg.c_str(), 1);
-  }
   const std::string coll_name(
       parix::coll_mode_name(parix::default_coll_mode()));
   const std::uint64_t seed = 19960528;
@@ -237,44 +245,16 @@ int main(int argc, char** argv) {
     for (auto& run : runs) {
       parix::set_default_execution_engine(run.engine);
       std::fprintf(stderr, "engine %s (rep %d):\n", run.name, rep + 1);
-      const auto gang_before = parix::gang_counters();
       const auto start = std::chrono::steady_clock::now();
       auto cells = run_gauss_grid_jobs(ns, ps, seed, jobs);
       const auto stop = std::chrono::steady_clock::now();
       const double wall = std::chrono::duration<double>(stop - start).count();
-      const auto gang_after = parix::gang_counters();
-      const auto batches = gang_after.batches - gang_before.batches;
-      const auto gadds = gang_after.gang_adds - gang_before.gang_adds;
-      const auto iadds = gang_after.inline_adds - gang_before.inline_adds;
-      if (batches > 0 || iadds > 0)
-        std::fprintf(
-            stderr,
-            "  gang: %llu batches, %.2f lanes/batch, %llu M adds ganged, "
-            "%llu M adds inline\n",
-            static_cast<unsigned long long>(batches),
-            batches > 0 ? static_cast<double>(gang_after.lanes -
-                                              gang_before.lanes) /
-                              static_cast<double>(batches)
-                        : 0.0,
-            static_cast<unsigned long long>(gadds / 1000000),
-            static_cast<unsigned long long>(iadds / 1000000));
-      if (batches > 0)
-        std::fprintf(
-            stderr, "  gang rounds: %llu uniform, %llu padded (%llu M "
-            "pad slots)\n",
-            static_cast<unsigned long long>(gang_after.uniform_rounds -
-                                            gang_before.uniform_rounds),
-            static_cast<unsigned long long>(gang_after.divergent_rounds -
-                                            gang_before.divergent_rounds),
-            static_cast<unsigned long long>(
-                (gang_after.padded_slots - gang_before.padded_slots) /
-                1000000));
       const SweepSettleTotals totals = sum_settle_totals(cells);
       if (totals.total_adds() > 0)
         std::fprintf(
             stderr,
             "  settle: %llu M adds closed (%llu M memoized, %llu M "
-            "probed), %llu M chained, %llu M ganged, %llu M inline; "
+            "probed), %llu M chained, %llu M chain-mode; "
             "closed-form coverage %.1f%%\n",
             static_cast<unsigned long long>(
                 (totals.settle.closed_adds + totals.settle.memo_adds) /
@@ -285,7 +265,6 @@ int main(int argc, char** argv) {
                                             1000000),
             static_cast<unsigned long long>(totals.settle.chain_adds /
                                             1000000),
-            static_cast<unsigned long long>(totals.gang_adds / 1000000),
             static_cast<unsigned long long>(totals.inline_adds / 1000000),
             100.0 * totals.closed_coverage());
       if (totals.fusion.seen > 0)
@@ -378,7 +357,7 @@ int main(int argc, char** argv) {
   if (FILE* out = std::fopen(path.c_str(), "w")) {
     std::fprintf(out,
                  "{\n"
-                 "  \"schema_version\": 8,\n"
+                 "  \"schema_version\": 9,\n"
                  "  \"benchmark\": \"bench_engine_wall\",\n"
                  "  \"grid\": \"table2_gauss%s\",\n"
                  "  \"reps\": %d,\n"
@@ -409,7 +388,7 @@ int main(int argc, char** argv) {
         const GaussCell& cell = run.cells[i];
         // Virtual times at %.17g: full double round-trip precision, so
         // two report files diff bit-identically (the CI settlement
-        // smoke compares gang vs auto reports this way).
+        // smoke compares chain vs closed reports this way).
         std::fprintf(out,
                      "%s{\"p\": %d, \"n\": %d, \"wall_seconds\": %.3f, "
                      "\"skil_vtime_s\": %.17g, \"dpfl_vtime_s\": %.17g, "
@@ -425,7 +404,6 @@ int main(int argc, char** argv) {
           "\"memo_hits\": %llu, \"memo_misses\": %llu, "
           "\"memo_adds\": %llu, \"probe_adds\": %llu, "
           "\"chain_records\": %llu, \"chain_adds\": %llu, "
-          "\"gang_parks\": %llu, \"gang_adds\": %llu, "
           "\"inline_adds\": %llu, \"closed_coverage\": %.6f}, "
           "\"fusion_counters\": {"
           "\"seen\": %llu, \"fused\": %llu, "
@@ -440,8 +418,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(totals.settle.probe_adds),
           static_cast<unsigned long long>(totals.settle.chain_records),
           static_cast<unsigned long long>(totals.settle.chain_adds),
-          static_cast<unsigned long long>(totals.settle.gang_parks),
-          static_cast<unsigned long long>(totals.gang_adds),
           static_cast<unsigned long long>(totals.inline_adds),
           totals.closed_coverage(),
           static_cast<unsigned long long>(totals.fusion.seen),
@@ -489,31 +465,18 @@ int main(int argc, char** argv) {
             ", \"scheduler\": {"
             "\"fibers_run\": %llu, \"fibers_resumed\": %llu, "
             "\"steal_attempts\": %llu, \"steal_successes\": %llu, "
-            "\"steal_failed_rounds\": %llu, \"settle_enqueues\": %llu, "
-            "\"parks\": %llu, \"unparks\": %llu, "
-            "\"run_ns\": %llu, \"settle_ns\": %llu, "
-            "\"gang_batches\": %llu, \"gang_lane_hist\": [",
+            "\"steal_failed_rounds\": %llu, "
+            "\"parks\": %llu, \"unparks\": %llu, \"run_ns\": %llu, "
+            "\"pool_acquires\": %llu, \"pool_hits\": %llu, "
+            "\"pool_misses\": %llu, \"pool_bytes\": %llu}",
             static_cast<unsigned long long>(sched.fibers_run),
             static_cast<unsigned long long>(sched.fibers_resumed),
             static_cast<unsigned long long>(sched.steal_attempts),
             static_cast<unsigned long long>(sched.steal_successes),
             static_cast<unsigned long long>(sched.steal_failed_rounds),
-            static_cast<unsigned long long>(sched.settle_enqueues),
             static_cast<unsigned long long>(sched.parks),
             static_cast<unsigned long long>(sched.unparks),
             static_cast<unsigned long long>(sched.run_ns),
-            static_cast<unsigned long long>(sched.settle_ns),
-            static_cast<unsigned long long>(sched.gang_batches));
-        for (int k = 0; k < parix::kProfGangLanes; ++k)
-          std::fprintf(out, "%s%llu", k == 0 ? "" : ", ",
-                       static_cast<unsigned long long>(
-                           sched.gang_lane_hist[k]));
-        std::fprintf(
-            out,
-            "], \"settle_queue_max\": %llu, "
-            "\"pool_acquires\": %llu, \"pool_hits\": %llu, "
-            "\"pool_misses\": %llu, \"pool_bytes\": %llu}",
-            static_cast<unsigned long long>(sched.settle_queue_max),
             static_cast<unsigned long long>(sched.pool_acquires),
             static_cast<unsigned long long>(sched.pool_hits),
             static_cast<unsigned long long>(sched.pool_misses),

@@ -28,12 +28,12 @@ struct GaussCell {
   double c_s = 0.0;
   /// Host wall seconds this cell took (all three variants).
   double wall_s = 0.0;
-  /// Settlement/gang counter deltas over this cell's three runs
-  /// (charge_tape.h).  Exact when the cell ran in its own forked
-  /// worker; in-process sequential sweeps accumulate them per cell
-  /// from the process-wide counters, which is equally exact there.
+  /// Settlement counter deltas over this cell's three runs
+  /// (charge_tape.h), plus the adds SKIL_SETTLE=chain executed.  Exact
+  /// when the cell ran in its own forked worker; in-process sequential
+  /// sweeps accumulate them per cell from the process-wide counters,
+  /// which is equally exact there.
   parix::SettleCounters settle;
-  std::uint64_t gang_adds = 0;
   std::uint64_t inline_adds = 0;
   /// Skeleton fusion outcome deltas over this cell's three runs
   /// (charge_tape.h): all zero under SKIL_FUSE=off.
@@ -52,7 +52,6 @@ struct GaussCell {
 /// coverage reports (bench_engine_wall, the CI settlement smoke).
 struct SweepSettleTotals {
   parix::SettleCounters settle;
-  std::uint64_t gang_adds = 0;
   std::uint64_t inline_adds = 0;
   parix::FusionCounters fusion;
   parix::CollectiveCounters coll;
@@ -60,7 +59,7 @@ struct SweepSettleTotals {
   /// All chain adds settlement accounted for, however retired.
   std::uint64_t total_adds() const {
     return settle.closed_adds + settle.memo_adds + settle.probe_adds +
-           settle.chain_adds + gang_adds + inline_adds;
+           settle.chain_adds + inline_adds;
   }
   /// Fraction of chain adds retired closed-form (freshly probed or
   /// memoized) -- the ISSUE 6 coverage metric.
@@ -92,8 +91,6 @@ inline SweepSettleTotals sum_settle_totals(const std::vector<GaussCell>& cells) 
     t.settle.probe_adds += cell.settle.probe_adds;
     t.settle.chain_records += cell.settle.chain_records;
     t.settle.chain_adds += cell.settle.chain_adds;
-    t.settle.gang_parks += cell.settle.gang_parks;
-    t.gang_adds += cell.gang_adds;
     t.inline_adds += cell.inline_adds;
     t.fusion.seen += cell.fusion.seen;
     t.fusion.fused += cell.fusion.fused;
@@ -161,8 +158,6 @@ inline GaussCell run_gauss_cell(int p, int n, std::uint64_t seed) {
     cell.settle.probe_adds += run.settle.probe_adds;
     cell.settle.chain_records += run.settle.chain_records;
     cell.settle.chain_adds += run.settle.chain_adds;
-    cell.settle.gang_parks += run.settle.gang_parks;
-    cell.gang_adds += run.gang.gang_adds;
     cell.inline_adds += run.gang.inline_adds;
     cell.fusion.seen += run.fusion.seen;
     cell.fusion.fused += run.fusion.fused;
@@ -224,121 +219,76 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
     }
 
   // Wire format cell -> parent: the four timing doubles followed by
-  // the settlement/gang/scheduler/collective counters, fixed-width so
-  // a single read drains the pipe atomically (600 bytes, well under
-  // PIPE_BUF's 4096).
+  // the settlement/fusion/scheduler/collective counters, fixed-width so
+  // a single read drains the pipe atomically (well under PIPE_BUF's
+  // 4096).  One visitor names the counter slots for both directions,
+  // so pack and unpack cannot disagree on the layout.
+  constexpr int kWireCounters = 57;
   struct CellWire {
     double d[4];
-    std::uint64_t u[71];
+    std::uint64_t u[kWireCounters];
   };
   static_assert(sizeof(CellWire) < 1024, "CellWire must stay one pipe write");
-  auto pack = [](const GaussCell& cell) {
-    CellWire w;
+  const auto for_each_counter = [](GaussCell& cell, auto&& visit) {
+    visit(cell.settle.closed_runs);
+    visit(cell.settle.closed_adds);
+    visit(cell.settle.memo_hits);
+    visit(cell.settle.memo_misses);
+    visit(cell.settle.memo_adds);
+    visit(cell.settle.probe_adds);
+    visit(cell.settle.chain_records);
+    visit(cell.settle.chain_adds);
+    visit(cell.inline_adds);
+    visit(cell.fusion.seen);
+    visit(cell.fusion.fused);
+    visit(cell.fusion.rejected_shape);
+    visit(cell.fusion.rejected_order);
+    visit(cell.fusion.rejected_path);
+    visit(cell.fusion.barriers_eliminated);
+    visit(cell.fusion.tapes_eliminated);
+    visit(cell.sched.fibers_run);
+    visit(cell.sched.fibers_resumed);
+    visit(cell.sched.steal_attempts);
+    visit(cell.sched.steal_successes);
+    visit(cell.sched.steal_failed_rounds);
+    visit(cell.sched.parks);
+    visit(cell.sched.unparks);
+    visit(cell.sched.run_ns);
+    visit(cell.sched.pool_acquires);
+    visit(cell.sched.pool_hits);
+    visit(cell.sched.pool_misses);
+    visit(cell.sched.pool_bytes);
+    for (int op = 0; op < parix::kNumCollOps; ++op)
+      for (int a = 0; a < parix::kNumCollAlgos; ++a)
+        visit(cell.coll.calls[op][a]);
+    for (int op = 0; op < parix::kNumCollOps; ++op) {
+      visit(cell.coll.bytes[op]);
+      visit(cell.coll.hops[op]);
+      visit(cell.coll.steps[op]);
+    }
+    visit(cell.coll.order_fallbacks);
+  };
+  const auto pack = [&for_each_counter](GaussCell cell) {
+    CellWire w{};
     w.d[0] = cell.skil_s;
     w.d[1] = cell.dpfl_s;
     w.d[2] = cell.c_s;
     w.d[3] = cell.wall_s;
-    w.u[0] = cell.settle.closed_runs;
-    w.u[1] = cell.settle.closed_adds;
-    w.u[2] = cell.settle.memo_hits;
-    w.u[3] = cell.settle.memo_misses;
-    w.u[4] = cell.settle.memo_adds;
-    w.u[5] = cell.settle.probe_adds;
-    w.u[6] = cell.settle.chain_records;
-    w.u[7] = cell.settle.chain_adds;
-    w.u[8] = cell.settle.gang_parks;
-    w.u[9] = cell.gang_adds;
-    w.u[10] = cell.inline_adds;
-    w.u[11] = cell.fusion.seen;
-    w.u[12] = cell.fusion.fused;
-    w.u[13] = cell.fusion.rejected_shape;
-    w.u[14] = cell.fusion.rejected_order;
-    w.u[15] = cell.fusion.rejected_path;
-    w.u[16] = cell.fusion.barriers_eliminated;
-    w.u[17] = cell.fusion.tapes_eliminated;
-    w.u[18] = cell.sched.fibers_run;
-    w.u[19] = cell.sched.fibers_resumed;
-    w.u[20] = cell.sched.steal_attempts;
-    w.u[21] = cell.sched.steal_successes;
-    w.u[22] = cell.sched.steal_failed_rounds;
-    w.u[23] = cell.sched.settle_enqueues;
-    w.u[24] = cell.sched.parks;
-    w.u[25] = cell.sched.unparks;
-    w.u[26] = cell.sched.run_ns;
-    w.u[27] = cell.sched.settle_ns;
-    w.u[28] = cell.sched.gang_batches;
-    for (int k = 0; k < parix::kProfGangLanes; ++k)
-      w.u[29 + k] = cell.sched.gang_lane_hist[k];
-    w.u[37] = cell.sched.settle_queue_max;
-    w.u[38] = cell.sched.pool_acquires;
-    w.u[39] = cell.sched.pool_hits;
-    w.u[40] = cell.sched.pool_misses;
-    w.u[41] = cell.sched.pool_bytes;
-    int slot = 42;
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      for (int a = 0; a < parix::kNumCollAlgos; ++a)
-        w.u[slot++] = cell.coll.calls[op][a];
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      w.u[slot++] = cell.coll.bytes[op];
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      w.u[slot++] = cell.coll.hops[op];
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      w.u[slot++] = cell.coll.steps[op];
-    w.u[slot++] = cell.coll.order_fallbacks;
+    int slot = 0;
+    for_each_counter(cell, [&](std::uint64_t& v) {
+      SKIL_ASSERT(slot < kWireCounters, "CellWire: too many counters");
+      w.u[slot++] = v;
+    });
+    SKIL_ASSERT(slot == kWireCounters, "CellWire: too few counters");
     return w;
   };
-  auto unpack = [](const CellWire& w, GaussCell& cell) {
+  const auto unpack = [&for_each_counter](const CellWire& w, GaussCell& cell) {
     cell.skil_s = w.d[0];
     cell.dpfl_s = w.d[1];
     cell.c_s = w.d[2];
     cell.wall_s = w.d[3];
-    cell.settle.closed_runs = w.u[0];
-    cell.settle.closed_adds = w.u[1];
-    cell.settle.memo_hits = w.u[2];
-    cell.settle.memo_misses = w.u[3];
-    cell.settle.memo_adds = w.u[4];
-    cell.settle.probe_adds = w.u[5];
-    cell.settle.chain_records = w.u[6];
-    cell.settle.chain_adds = w.u[7];
-    cell.settle.gang_parks = w.u[8];
-    cell.gang_adds = w.u[9];
-    cell.inline_adds = w.u[10];
-    cell.fusion.seen = w.u[11];
-    cell.fusion.fused = w.u[12];
-    cell.fusion.rejected_shape = w.u[13];
-    cell.fusion.rejected_order = w.u[14];
-    cell.fusion.rejected_path = w.u[15];
-    cell.fusion.barriers_eliminated = w.u[16];
-    cell.fusion.tapes_eliminated = w.u[17];
-    cell.sched.fibers_run = w.u[18];
-    cell.sched.fibers_resumed = w.u[19];
-    cell.sched.steal_attempts = w.u[20];
-    cell.sched.steal_successes = w.u[21];
-    cell.sched.steal_failed_rounds = w.u[22];
-    cell.sched.settle_enqueues = w.u[23];
-    cell.sched.parks = w.u[24];
-    cell.sched.unparks = w.u[25];
-    cell.sched.run_ns = w.u[26];
-    cell.sched.settle_ns = w.u[27];
-    cell.sched.gang_batches = w.u[28];
-    for (int k = 0; k < parix::kProfGangLanes; ++k)
-      cell.sched.gang_lane_hist[k] = w.u[29 + k];
-    cell.sched.settle_queue_max = w.u[37];
-    cell.sched.pool_acquires = w.u[38];
-    cell.sched.pool_hits = w.u[39];
-    cell.sched.pool_misses = w.u[40];
-    cell.sched.pool_bytes = w.u[41];
-    int slot = 42;
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      for (int a = 0; a < parix::kNumCollAlgos; ++a)
-        cell.coll.calls[op][a] = w.u[slot++];
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      cell.coll.bytes[op] = w.u[slot++];
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      cell.coll.hops[op] = w.u[slot++];
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      cell.coll.steps[op] = w.u[slot++];
-    cell.coll.order_fallbacks = w.u[slot++];
+    int slot = 0;
+    for_each_counter(cell, [&](std::uint64_t& v) { v = w.u[slot++]; });
   };
 
   struct Worker {

@@ -33,6 +33,7 @@ FIELDS_BY_VERSION = {
     7: ["prof"],    # also per-engine scheduler iff prof != off
                     # (checked below)
     8: ["coll"],    # also per-engine coll_counters (checked below)
+    9: [],  # v9 retired the gang-settlement fields (checked below)
 }
 MAX_KNOWN_VERSION = max(FIELDS_BY_VERSION)
 
@@ -40,8 +41,17 @@ MAX_KNOWN_VERSION = max(FIELDS_BY_VERSION)
 # for (bench/bench_engine_wall.cpp schema history).
 SETTLE_COUNTER_FIELDS = [
     "closed_runs", "closed_adds", "memo_hits", "memo_misses", "memo_adds",
-    "probe_adds", "chain_records", "chain_adds", "gang_parks", "gang_adds",
-    "inline_adds", "closed_coverage",
+    "probe_adds", "chain_records", "chain_adds", "inline_adds",
+    "closed_coverage",
+]
+
+# Gang-settlement fields: required on v5-v8 records, which predate the
+# removal of gang settlement, and absent from v9+ records.
+GANG_VERSIONS = range(5, 9)
+GANG_SETTLE_COUNTER_FIELDS = ["gang_parks", "gang_adds"]
+GANG_SCHEDULER_FIELDS = [
+    "settle_enqueues", "settle_ns", "gang_batches", "gang_lane_hist",
+    "settle_queue_max",
 ]
 
 # The fusion-counter fields every v6+ engine record must account for.
@@ -67,11 +77,20 @@ COLL_OP_FIELDS = ["calls", "bytes", "hops", "steps"]
 # report indistinguishable from an unprofiled build's.
 SCHEDULER_FIELDS = [
     "fibers_run", "fibers_resumed", "steal_attempts", "steal_successes",
-    "steal_failed_rounds", "settle_enqueues", "parks", "unparks",
-    "run_ns", "settle_ns", "gang_batches", "gang_lane_hist",
-    "settle_queue_max", "pool_acquires", "pool_hits", "pool_misses",
-    "pool_bytes",
+    "steal_failed_rounds", "parks", "unparks", "run_ns", "pool_acquires",
+    "pool_hits", "pool_misses", "pool_bytes",
 ]
+
+
+def check_gang_fields(path, lineno, version, block, name, fields):
+    """v5-v8 blocks must carry the gang fields; v9+ must not."""
+    for field in fields:
+        if version in GANG_VERSIONS and field not in block:
+            fail(path, lineno,
+                 f"v{version} {name} is missing '{field}'")
+        if version > max(GANG_VERSIONS) and field in block:
+            fail(path, lineno,
+                 f"v{version} {name} carries retired field '{field}'")
 
 
 def fail(path, lineno, message):
@@ -121,6 +140,8 @@ def validate_record(path, lineno, record):
                 if field not in counters:
                     fail(path, lineno,
                          f"v5+ settle_counters is missing '{field}'")
+            check_gang_fields(path, lineno, version, counters,
+                              "settle_counters", GANG_SETTLE_COUNTER_FIELDS)
         if version >= 6:
             fusion = engine.get("fusion_counters")
             if not isinstance(fusion, dict):
@@ -190,11 +211,8 @@ def validate_record(path, lineno, record):
                     if field not in sched:
                         fail(path, lineno,
                              f"v7+ scheduler is missing '{field}'")
-                hist = sched["gang_lane_hist"]
-                if not isinstance(hist, list) or len(hist) != 8:
-                    fail(path, lineno,
-                         "scheduler gang_lane_hist must be a list of 8 "
-                         "lane-occupancy counts")
+                check_gang_fields(path, lineno, version, sched,
+                                  "scheduler", GANG_SCHEDULER_FIELDS)
                 # Conservation invariants: a violated one means the
                 # counter plumbing dropped or double-counted events.
                 if sched["steal_successes"] > sched["steal_attempts"]:
@@ -205,10 +223,13 @@ def validate_record(path, lineno, record):
                         != sched["pool_acquires"]:
                     fail(path, lineno,
                          "scheduler pool hits + misses != acquires")
-                if sum(hist) != sched["gang_batches"]:
+                hist = sched.get("gang_lane_hist")
+                if hist is not None and (
+                        not isinstance(hist, list) or len(hist) != 8
+                        or sum(hist) != sched["gang_batches"]):
                     fail(path, lineno,
-                         "scheduler gang_lane_hist does not sum to "
-                         "gang_batches")
+                         "scheduler gang_lane_hist must be 8 "
+                         "lane-occupancy counts summing to gang_batches")
     if version >= 5 and "baseline_wall_seconds" in record \
             and "baseline_provenance" not in record:
         # Satellite of ISSUE 6: a bare baseline float invites

@@ -279,8 +279,8 @@ auto fa_map_taped(MapF&& map_f, const parix::ChargeTape& tape,
     }
   proc.replay(tape, tapped);
   // Tail charges ride the deferred ledger too: booking them eagerly
-  // would settle the just-deferred replay on the spot and collapse the
-  // gang-settlement window to nothing.
+  // would settle the just-deferred replay on the spot instead of at
+  // the next point that observes the clock.
   parix::DeferredCharges deferred(proc);
   charge_apply(deferred, elems);
   charge_map_cell(deferred, elems);

@@ -27,25 +27,23 @@
 // SKIL_CHARGE=interp|tape (or set_default_charge_path) selects which
 // one the applications' hot loops take.
 //
-// Since PR 6 settlement itself has three strategies
-// (SKIL_SETTLE=gang|closed|auto, DESIGN.md section 12):
+// Settlement has two strategies (SKIL_SETTLE=chain|closed, DESIGN.md
+// section 12):
 //
-//  * gang   -- the PR 4 behaviour: park fibers and retire several
-//              processors' chains in one fused SIMD batch, scalar
-//              inline settle otherwise.  Every chain add executes.
-//  * closed -- algebraic settlement: a replay record's per-period
-//              clock delta, measured in ulps of the clock's current
-//              binade, is a function of the clock's ulp *parity* only
-//              (round-half-even is the sole data dependence), so one
-//              probed period per (tape, binade, parity) lets the
-//              remaining periods retire in exact integer arithmetic --
-//              bit-identical by construction, without executing the
-//              adds.  A cross-replay memo caches the probed deltas per
-//              (tape identity, unit table, binade), so the sweep's
-//              repeated replays settle as O(1) cached walks.
-//  * auto   -- algebraic settlement inline, escalating to a gang park
-//              only when the ledger's non-walkable (chain-bound)
-//              residue alone crosses the gang batching threshold.
+//  * chain  -- the plain dependent add chain (ChargeLedger::settle):
+//              every add executes, in append order.  The reference the
+//              tests and CI compare the default against.
+//  * closed -- algebraic settlement, the default: a replay record's
+//              per-period clock delta, measured in ulps of the clock's
+//              current binade, is a function of the clock's ulp
+//              *parity* only (round-half-even is the sole data
+//              dependence), so one probed period per (tape, binade,
+//              parity) lets the remaining periods retire in exact
+//              integer arithmetic -- bit-identical by construction,
+//              without executing the adds.  A cross-replay memo caches
+//              the probed deltas per (tape identity, unit table,
+//              binade), so the sweep's repeated replays settle as O(1)
+//              cached walks.
 #pragma once
 
 #include <cstdint>
@@ -75,25 +73,17 @@ ChargePath parse_charge_path(std::string_view name);
 
 /// How ChargeLedger settlement retires the dependent FP-add chain.
 enum class SettleMode {
-  kGang,    ///< PR 4: fused multi-lane SIMD batches, scalar inline otherwise
-  kClosed,  ///< algebraic run settlement + cross-replay memo, always inline
-  kAuto,    ///< algebraic inline; gang park for chain-bound residues
+  kChain,   ///< every add executes inline (ChargeLedger::settle)
+  kClosed,  ///< algebraic run settlement + cross-replay memo
 };
 
-/// Process-wide default settlement mode: kAuto, overridable with the
-/// SKIL_SETTLE environment variable ("gang" / "closed" / "auto") or
+/// Process-wide default settlement mode: kClosed, overridable with the
+/// SKIL_SETTLE environment variable ("chain" / "closed") or
 /// set_default_settle_mode.  Unknown SKIL_SETTLE values fail loudly.
 SettleMode default_settle_mode();
 void set_default_settle_mode(SettleMode mode);
 SettleMode parse_settle_mode(std::string_view name);
 std::string_view settle_mode_name(SettleMode mode);
-
-/// In kAuto, a ledger whose *chain-bound* pending adds (records the
-/// algebraic engine will not walk closed-form) reach this threshold is
-/// offered to the gang scheduler after its walkable prefix settles
-/// algebraically.  Matches the gang scheduler's own batching
-/// threshold (executor.cpp kGangMinPendingAdds).
-inline constexpr std::uint64_t kSettleChainParkThreshold = 2048;
 
 /// Whether skeleton compositions may run fused (DESIGN.md section 13).
 ///
@@ -238,10 +228,12 @@ class ChargeTape {
   std::uint64_t id_;
 };
 
-/// Bumps the inline-settle add counter (relaxed; called by
+/// Bumps the chain-mode add counter (relaxed; called by
 /// ChargeLedger::settle, defined out of line to keep the atomic out of
 /// the header).
 void note_inline_settle(std::uint64_t adds);
+/// Cumulative adds ChargeLedger::settle executed (SKIL_SETTLE=chain).
+std::uint64_t inline_settle_adds();
 
 /// Cumulative algebraic-settlement counters (process-wide, relaxed
 /// atomics underneath).  `closed_adds` / `memo_adds` are chain adds
@@ -250,9 +242,9 @@ void note_inline_settle(std::uint64_t adds);
 /// `probe_adds` are real adds spent measuring period deltas;
 /// `chain_adds` are real adds on records the algebraic engine
 /// declined (chain-only flags, tiny repetition counts, binade-
-/// boundary periods).  Together with the gang counters they account
-/// for every pending chain add, which is how the bench proves its
-/// closed-form coverage claim.
+/// boundary periods).  Together with the chain-mode adds
+/// (inline_settle_adds) they account for every pending chain add,
+/// which is how the bench proves its closed-form coverage claim.
 struct SettleCounters {
   std::uint64_t closed_runs = 0;     ///< records retired via closed-form walks
   std::uint64_t closed_adds = 0;     ///< adds skipped with freshly probed deltas
@@ -262,13 +254,8 @@ struct SettleCounters {
   std::uint64_t probe_adds = 0;      ///< real adds spent learning period deltas
   std::uint64_t chain_records = 0;   ///< records plain-chained by the engine
   std::uint64_t chain_adds = 0;      ///< real adds plain-chained by the engine
-  std::uint64_t gang_parks = 0;      ///< kAuto escalations to the gang kernel
 };
 SettleCounters settle_counters();
-
-/// Bumps the kAuto-escalation counter (called by Proc::settle_pending
-/// when a chain-bound ledger residue parks for the gang kernel).
-void note_gang_park();
 
 /// Deferred charge ledger: the queue of replay and bulk-charge records
 /// a processor has accumulated but not yet folded into its clock.
@@ -288,11 +275,6 @@ void note_gang_park();
 /// addends (one unit * count multiply per entry, performed at append
 /// time exactly as replay performs it), so a recorded tape may die
 /// before its settlement.
-///
-/// Records are consumed from a head cursor rather than cleared
-/// wholesale, so the kAuto mode can settle a ledger's walkable prefix
-/// algebraically and hand only the chain-bound remainder to the gang
-/// scheduler (settle_algebraic_prefix).
 class ChargeLedger {
  public:
   /// One deferred replay: `times` repetitions of the `n` entries
@@ -315,17 +297,10 @@ class ChargeLedger {
   /// engine plain-chains them.
   static constexpr std::uint64_t kMinWalkTimes = 4;
 
-  bool empty() const { return head_ >= records_.size(); }
+  bool empty() const { return records_.empty(); }
 
-  /// Number of dependent chain additions settlement will perform --
-  /// the gang scheduler's batching heuristic.
+  /// Number of dependent chain additions the pending records hold.
   std::uint64_t pending_adds() const { return pending_adds_; }
-
-  /// The subset of pending_adds() on records the algebraic engine
-  /// will plain-chain rather than walk closed-form -- the kAuto
-  /// escalation heuristic (only chain-bound work benefits from the
-  /// gang kernel once closed-form settlement exists).
-  std::uint64_t pending_chain_adds() const { return pending_chain_adds_; }
 
   /// Defers replay(tape, times): copies the entries and precomputes
   /// the addends from the processor's unit-cost table.
@@ -350,20 +325,18 @@ class ChargeLedger {
         Record{first, static_cast<std::uint32_t>(n), times, tape.id(),
                chain_only});
     pending_adds_ += static_cast<std::uint64_t>(n) * times;
-    if (chain_only || times < kMinWalkTimes)
-      pending_chain_adds_ += static_cast<std::uint64_t>(n) * times;
   }
 
   /// Defers one charge(kind, count) with its precomputed addend.
   /// Consecutive deferred charges coalesce into the trailing record
   /// when it is a times==1 record (appending an entry to a once-played
   /// record is the same add sequence as a separate record), which
-  /// keeps skeleton tail charges gang-uniform across processors.
+  /// keeps a skeleton's tail charges in one record.
   void append_charge(Op kind, std::uint64_t count, double addend) {
     entries_.push_back(ChargeTape::Entry{kind, count});
     addends_.push_back(addend);
     const bool irregular = !(addend >= 0.0) || addend - addend != 0.0;
-    if (head_ < records_.size()) {
+    if (!records_.empty()) {
       Record& last = records_.back();
       if (last.times == 1 && last.n < ChargeTape::kMaxEntries &&
           last.first + last.n == entries_.size() - 1) {
@@ -374,14 +347,12 @@ class ChargeLedger {
         last.tape_id = 0;
         last.chain_only = last.chain_only || irregular;
         ++pending_adds_;
-        ++pending_chain_adds_;
         return;
       }
     }
     records_.push_back(Record{static_cast<std::uint32_t>(entries_.size() - 1),
                               1, 1, 0, irregular});
     ++pending_adds_;
-    ++pending_chain_adds_;
   }
 
   /// Settles every pending record into (vtime, stats), in append
@@ -392,8 +363,7 @@ class ChargeLedger {
     note_inline_settle(pending_adds_);
     double vt = vtime;
     double cu = stats.compute_us;
-    for (std::size_t r = head_; r < records_.size(); ++r) {
-      const Record& rec = records_[r];
+    for (const Record& rec : records_) {
       const double* a = addends_.data() + rec.first;
       for (std::uint64_t t = 0; t < rec.times; ++t)
         for (std::uint32_t i = 0; i < rec.n; ++i) {
@@ -415,84 +385,25 @@ class ChargeLedger {
   /// tiny records via the plain chain.  Defined in charge_tape.cpp.
   void settle_algebraic(double& vtime, Stats& stats);
 
-  /// Settles the leading *walkable* records algebraically and stops at
-  /// the first chain-bound record, leaving it and everything after it
-  /// pending (head() advances; pending counters shrink accordingly).
-  /// The kAuto mode calls this before parking the chain-bound residue
-  /// for the gang kernel.
-  void settle_algebraic_prefix(double& vtime, Stats& stats);
-
   void clear() {
     entries_.clear();
     addends_.clear();
     records_.clear();
-    head_ = 0;
     pending_adds_ = 0;
-    pending_chain_adds_ = 0;
   }
 
-  /// Index of the first unsettled record (everything before it was
-  /// consumed by settle_algebraic_prefix).
-  std::size_t head() const { return head_; }
-
   const std::vector<Record>& records() const { return records_; }
-  const std::vector<ChargeTape::Entry>& entries() const { return entries_; }
-  const std::vector<double>& addends() const { return addends_; }
 
  private:
   std::vector<ChargeTape::Entry> entries_;
   std::vector<double> addends_;
   std::vector<Record> records_;
-  std::size_t head_ = 0;
   std::uint64_t pending_adds_ = 0;
-  std::uint64_t pending_chain_adds_ = 0;
   /// The unit-cost table the addends were precomputed from (the
   /// owning Proc's table; stable for the ledger's lifetime).  Part of
   /// the settlement memo key: a cached period delta is only valid for
   /// the exact unit values that produced the addends.
   const double* units_ = nullptr;
 };
-
-/// One processor's view for the gang settlement kernel: the pending
-/// ledger plus the clock and stats it settles into.
-struct GangLane {
-  ChargeLedger* ledger;
-  double* vtime;
-  Stats* stats;
-};
-
-/// Width of the gang settlement kernel: how many independent
-/// accumulator chains one fused settle loop interleaves.  Eight double
-/// lanes fill one 512-bit vector (or four SSE2 pairs) and comfortably
-/// cover the ~4-cycle FP-add latency with independent work.
-inline constexpr int kGangWidth = 8;
-
-/// Settles up to kGangWidth processors' pending ledgers in one fused
-/// loop that interleaves the lanes' independent accumulator chains.
-/// Within each lane the addends are applied in exactly the order
-/// ChargeLedger::settle applies them, and the vectorized path performs
-/// per-lane IEEE adds (lane i of a vector add is the scalar add of
-/// lane i's operands), so every lane's results are bit-identical to a
-/// scalar settle -- asserted lane-vs-scalar in
-/// tests/test_parix_charge_tape.cpp.
-void gang_settle(GangLane* lanes, int k);
-
-/// Cumulative gang settlement counters (process-wide): how many fused
-/// batches ran, how many lanes they settled in total, and how many
-/// dependent chain adds went through the gang kernel vs inline
-/// ChargeLedger::settle.  Tests use them to prove the gang path really
-/// engaged (a scheduler that always declines would still be
-/// bit-identical); the bench records them so a speedup claim can be
-/// traced to actual batching and coverage.
-struct GangCounters {
-  std::uint64_t batches = 0;
-  std::uint64_t lanes = 0;
-  std::uint64_t gang_adds = 0;
-  std::uint64_t inline_adds = 0;
-  std::uint64_t uniform_rounds = 0;
-  std::uint64_t divergent_rounds = 0;
-  std::uint64_t padded_slots = 0;
-};
-GangCounters gang_counters();
 
 }  // namespace skil::parix

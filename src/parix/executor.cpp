@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "parix/charge_tape.h"
 #include "parix/machine.h"
 #include "parix/mailbox.h"
 #include "parix/proc.h"
@@ -25,8 +24,8 @@
 // ASan tracks which stack region is live (and its fake-stack state),
 // TSan models each fiber as its own logical thread.  With the
 // annotations below the pooled engine runs cleanly under both, which
-// is what lets CI exercise the multi-carrier scheduler and gang
-// settlement sanitized instead of falling back to the threads engine.
+// is what lets CI exercise the multi-carrier scheduler sanitized
+// instead of falling back to the threads engine.
 #if defined(__SANITIZE_ADDRESS__) && __has_include(<sanitizer/common_interface_defs.h>)
 #define SKIL_ASAN_FIBERS 1
 #include <sanitizer/common_interface_defs.h>
@@ -46,11 +45,6 @@ namespace {
 // so a 64-processor run commits only the pages it actually uses.
 constexpr std::size_t kFiberStackBytes = std::size_t{1} << 20;
 
-// A pending ledger below this many chain adds settles inline: parking
-// costs two context switches (~1us), and a gang batch can at best
-// hide seven eighths of the chain latency, so short chains lose.
-constexpr std::uint64_t kGangMinPendingAdds = 2048;
-
 // Park/unpark protocol (all transitions under Scheduler::mutex_):
 //
 //   kReady       in a carrier run queue, waiting for a carrier
@@ -58,25 +52,13 @@ constexpr std::uint64_t kGangMinPendingAdds = 2048;
 //   kParking     asked to park; its carrier has not yet swapped off
 //                the fiber stack, so it cannot be enqueued yet
 //   kParked      off-stack, waiting for a wake()
-//   kSettleWait  off-stack in the settle queue, waiting for a carrier
-//                to gang-settle its processor's charge ledger
 //   kFinished    body returned; the carrier recycles the fiber object
 //
 // A wake() that catches the fiber kRunning (the waiter was already
 // deregistered, but the fiber has not reached park_current yet) sets
 // notify_pending, which park_current consumes instead of parking --
 // the classic missed-wakeup race, resolved without spinning.
-// Settle-waiting fibers have no registered mailbox waiter, so wake()
-// never races them; only the carrier that collected the batch may
-// requeue them.
-enum class FiberState {
-  kReady,
-  kRunning,
-  kParking,
-  kParked,
-  kSettleWait,
-  kFinished
-};
+enum class FiberState { kReady, kRunning, kParking, kParked, kFinished };
 
 struct RunState;
 
@@ -85,10 +67,6 @@ struct Fiber {
   std::unique_ptr<char[]> stack;
   FiberState state = FiberState::kReady;
   bool notify_pending = false;
-  /// Set between settle_current() and the carrier's state transition
-  /// so the post-switch handler can tell a settle park from a mailbox
-  /// park.
-  bool settle_wait = false;
   /// Carrier whose run queue this fiber calls home (affinity; idle
   /// carriers steal from the others).
   int home = 0;
@@ -238,12 +216,6 @@ class Scheduler {
   /// for good.  Signals run completion when it is the last one.
   [[noreturn]] void finish_current();
 
-  /// Parks the calling fiber into the settle queue; a carrier settles
-  /// its processor's ledger in a gang batch and requeues it.  Returns
-  /// false when gang settlement is off (single carrier) -- the caller
-  /// settles inline.
-  bool settle_current();
-
   /// Number of carrier threads the next pooled run will use.
   int carriers();
 
@@ -267,8 +239,6 @@ class Scheduler {
   void stop_workers(std::unique_lock<std::mutex>& lock);
   void enqueue_locked(Fiber* fiber);
   Fiber* pop_ready_locked(int index);
-  bool settle_due_locked() const;
-  void gang_settle_batch_locked(std::unique_lock<std::mutex>& lock);
   void detect_deadlock_locked(std::unique_lock<std::mutex>& lock);
   int resolve_carriers_locked();
 
@@ -278,24 +248,17 @@ class Scheduler {
   /// steal from the other queues, so ready_count_ is the global count.
   std::vector<std::deque<Fiber*>> queues_;
   int ready_count_ = 0;
-  /// Fibers parked for gang settlement.  settle_ready_ counts the ones
-  /// that have fully left their stack (state kSettleWait); entries
-  /// still kParking are skipped until their carrier finishes the swap.
-  std::vector<Fiber*> settle_queue_;
-  int settle_ready_ = 0;
-  bool gang_enabled_ = false;
   std::vector<std::unique_ptr<Fiber>> all_fibers_;  // ownership
   std::vector<Fiber*> free_fibers_;                 // recycled, off-stack
   std::vector<std::thread> workers_;
   int desired_carriers_ = 0;  // 0 = auto (SKIL_CARRIERS / hw concurrency)
-  /// Admission cap: at most this many carriers execute fibers (or gang
-  /// batches) concurrently; the rest stand by in the cv wait.  Set to
+  /// Admission cap: at most this many carriers execute fibers
+  /// concurrently; the rest stand by in the cv wait.  Set to
   /// min(carriers, hardware_concurrency).  Oversubscribing physical
   /// cores is pure loss here -- every suppressed slot would otherwise
   /// turn scheduler wakeups into kernel context switches and the
-  /// global mutex into a lock convoy -- while SKIL_CARRIERS above the
-  /// core count still buys gang settlement and, on larger hosts, the
-  /// standby carriers engage as soon as the cap allows.
+  /// global mutex into a lock convoy -- so a SKIL_CARRIERS above the
+  /// core count leaves the extra carriers on standby.
   int active_cap_ = 1;
   int running_ = 0;
   int parked_ = 0;
@@ -355,7 +318,6 @@ void Scheduler::spawn_workers_locked() {
   // must always cover every live carrier index.
   if (prof_detail::g_registry.load(std::memory_order_relaxed) != nullptr)
     prof_ensure_registry(n);
-  gang_enabled_ = n > 1;
   const unsigned hc = std::thread::hardware_concurrency();
   active_cap_ = hc == 0 ? n : std::max(1, std::min(n, static_cast<int>(hc)));
   queues_.assign(static_cast<std::size_t>(n), {});
@@ -446,59 +408,7 @@ Fiber* Scheduler::pop_ready_locked(int index) {
   return nullptr;
 }
 
-bool Scheduler::settle_due_locked() const {
-  // Settle when a full gang is waiting, or when nothing else is
-  // runnable (running fibers elsewhere may still join the batch, but
-  // waiting on them could wait forever -- they might themselves need
-  // one of the queued settlements to make progress).
-  return settle_ready_ >= kGangWidth ||
-         (settle_ready_ > 0 && ready_count_ == 0);
-}
-
-void Scheduler::gang_settle_batch_locked(std::unique_lock<std::mutex>& lock) {
-  Fiber* batch[kGangWidth];
-  GangLane lanes[kGangWidth];
-  int k = 0;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < settle_queue_.size(); ++i) {
-    Fiber* fiber = settle_queue_[i];
-    if (k < kGangWidth && fiber->state == FiberState::kSettleWait) {
-      batch[k++] = fiber;
-    } else {
-      settle_queue_[kept++] = fiber;  // still kParking, or batch full
-    }
-  }
-  settle_queue_.resize(kept);
-  settle_ready_ -= k;
-  if (ProfRegistry* const prof = prof_registry(); prof != nullptr)
-      [[unlikely]] {
-    prof->globals.settle_queue_depth.store(
-        static_cast<std::int32_t>(settle_queue_.size()),
-        std::memory_order_relaxed);
-    if (k > 0) {
-      prof->globals.gang_batches.fetch_add(1, std::memory_order_relaxed);
-      prof->globals.gang_lane_hist[k - 1].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
-  if (k == 0) return;
-  for (int i = 0; i < k; ++i) lanes[i] = batch[i]->proc->gang_lane();
-  // The fused settle runs outside the scheduler lock: the fibers are
-  // off their stacks and unreachable by wake() (no mailbox waiter), so
-  // this carrier owns their processors exclusively; the lock handoff
-  // (enqueue under mutex_ -> collect under mutex_) orders the memory.
-  lock.unlock();
-  gang_settle(lanes, k);
-  lock.lock();
-  for (int i = 0; i < k; ++i) {
-    batch[i]->settle_wait = false;
-    batch[i]->state = FiberState::kReady;
-    enqueue_locked(batch[i]);
-  }
-}
-
 void Scheduler::detect_deadlock_locked(std::unique_lock<std::mutex>& lock) {
-  if (!settle_queue_.empty()) return;  // settlement work pending
   if (ready_count_ > 0 || running_ > 0 || live_ == 0 || parked_ != live_)
     return;
   RunState* run = current_run_;
@@ -540,38 +450,10 @@ void Scheduler::worker_main(int index) {
   std::unique_lock lock(mutex_);
   for (;;) {
     work_cv_.wait(lock, [&] {
-      return shutdown_ || ((ready_count_ > 0 || settle_due_locked()) &&
-                           running_ < active_cap_);
+      return shutdown_ || (ready_count_ > 0 && running_ < active_cap_);
     });
     if (shutdown_) return;
-    if (settle_due_locked()) {
-      // The batch occupies an admission slot like a fiber would: its
-      // settled fibers re-enqueue at the end, and the slot keeps
-      // standby carriers from piling onto the queue mid-batch.
-      ++running_;
-      if (ProfRegistry* const prof = prof_registry();
-          prof != nullptr && index < prof->n) [[unlikely]] {
-        const auto t0 = std::chrono::steady_clock::now();
-        gang_settle_batch_locked(lock);
-        prof->carriers[index].settle_ns.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()),
-            std::memory_order_relaxed);
-      } else {
-        gang_settle_batch_locked(lock);
-      }
-      --running_;
-      // Enqueues during the batch saw its admission slot occupied and
-      // may have suppressed their wakeups; hand one on now that the
-      // slot is free (this carrier takes another item itself on the
-      // next iteration).
-      if (ready_count_ > 0 && running_ < active_cap_) work_cv_.notify_one();
-      continue;
-    }
     Fiber* fiber = pop_ready_locked(index);
-    if (fiber == nullptr) continue;  // settle batch raced us
     fiber->state = FiberState::kRunning;
     fiber->home = index;
     ++running_;
@@ -615,14 +497,7 @@ void Scheduler::worker_main(int index) {
         free_fibers_.push_back(fiber);
         break;
       case FiberState::kParking:
-        if (fiber->settle_wait) {
-          // Now off-stack: eligible for a gang batch.  The cv wake
-          // lets an idle carrier run the batch even if this one goes
-          // on to execute ready fibers first.
-          fiber->state = FiberState::kSettleWait;
-          ++settle_ready_;
-          if (settle_due_locked()) work_cv_.notify_one();
-        } else if (fiber->notify_pending) {
+        if (fiber->notify_pending) {
           fiber->notify_pending = false;
           fiber->state = FiberState::kReady;
           enqueue_locked(fiber);
@@ -663,35 +538,6 @@ void Scheduler::park_current() {
   sanitizer_finish_switch(fiber->asan_fake_stack);
 }
 
-bool Scheduler::settle_current() {
-  Fiber* fiber = current_fiber_slot();
-  SKIL_ASSERT(fiber != nullptr, "executor: settle park outside a fiber");
-  {
-    const std::scoped_lock lock(mutex_);
-    if (!gang_enabled_) return false;
-    fiber->state = FiberState::kParking;
-    fiber->settle_wait = true;
-    settle_queue_.push_back(fiber);
-    if (ProfRegistry* const prof = prof_registry(); prof != nullptr)
-        [[unlikely]] {
-      if (fiber->home < prof->n)
-        prof->carriers[fiber->home].settle_enqueues.fetch_add(
-            1, std::memory_order_relaxed);
-      const auto depth = static_cast<std::int32_t>(settle_queue_.size());
-      prof->globals.settle_queue_depth.store(depth, std::memory_order_relaxed);
-      // Writers hold mutex_, so the load/store max update cannot race.
-      if (static_cast<std::uint64_t>(depth) >
-          prof->globals.settle_queue_max.load(std::memory_order_relaxed))
-        prof->globals.settle_queue_max.store(
-            static_cast<std::uint64_t>(depth), std::memory_order_relaxed);
-    }
-  }
-  sanitizer_switch_to_worker(&fiber->asan_fake_stack);
-  swapcontext(&fiber->context, current_worker_context());
-  sanitizer_finish_switch(fiber->asan_fake_stack);
-  return true;
-}
-
 void Scheduler::wake(Fiber* fiber) {
   const std::scoped_lock lock(mutex_);
   switch (fiber->state) {
@@ -706,9 +552,7 @@ void Scheduler::wake(Fiber* fiber) {
       break;
     case FiberState::kParking:
       // Its carrier is still swapping off the fiber stack and will
-      // enqueue when it observes the state change.  (Never a settle
-      // park: those have no registered mailbox waiter to fire.)
-      SKIL_ASSERT(!fiber->settle_wait, "executor: wake raced a settle park");
+      // enqueue when it observes the state change.
       fiber->state = FiberState::kReady;
       break;
     default:
@@ -772,7 +616,6 @@ std::exception_ptr Scheduler::run(
       fiber->proc = proc.get();
       fiber->state = FiberState::kReady;
       fiber->notify_pending = false;
-      fiber->settle_wait = false;
       fiber->ran_before = false;
       fiber->home = proc->id() % carriers;
       fiber->asan_fake_stack = nullptr;
@@ -843,14 +686,6 @@ int executor_carriers() { return Scheduler::instance().carriers(); }
 void executor_set_carriers(int n) { Scheduler::instance().set_carriers(n); }
 
 void executor_prof_prepare() { Scheduler::instance().prof_prepare(); }
-
-bool executor_gang_settle(Proc& proc) {
-  Fiber* fiber = current_fiber_slot();
-  if (fiber == nullptr || fiber->proc != &proc) return false;
-  if (proc.gang_lane().ledger->pending_adds() < kGangMinPendingAdds)
-    return false;
-  return Scheduler::instance().settle_current();
-}
 
 std::exception_ptr executor_run(Machine& machine,
                                 const std::vector<std::unique_ptr<Proc>>& procs,

@@ -14,19 +14,15 @@
 // Blocked-forever programs cannot rely on the mailbox receive timeout
 // here (a parked fiber consumes no thread), so the scheduler detects
 // quiescence -- every live fiber parked, nothing ready, nothing
-// running, nothing waiting to settle -- and poisons the machine's
-// mailboxes, turning a deadlock into the same RuntimeFault the
-// threads engine raises on timeout.
+// running -- and poisons the machine's mailboxes, turning a deadlock
+// into the same RuntimeFault the threads engine raises on timeout.
 //
 // The pool runs N *carrier* threads (SKIL_CARRIERS, default the
 // host's hardware concurrency) with one run queue per carrier and
 // work stealing between them; a fiber is driven by one carrier at a
 // time, which preserves the trace layer's lock-free per-proc buffer
-// invariant.  With more than one carrier the pool also gang-settles
-// deferred charge ledgers: a fiber whose ledger is big enough parks
-// into a settle queue, and a carrier folds up to kGangWidth
-// processors' pending replay chains in one fused vectorized loop
-// (charge_tape.h) before requeueing them.
+// invariant.  Deferred charge ledgers settle inline, in the fiber that
+// owns them (Proc::settle_pending).
 //
 // Virtual time is engine-independent by construction: it derives only
 // from charged operation counts and (src, tag)-matched message
@@ -56,15 +52,10 @@ int executor_carriers();
 
 /// Overrides the carrier count for subsequent pooled runs (0 restores
 /// the SKIL_CARRIERS / hardware_concurrency default).  Tears down the
-/// current pool -- the next run respawns it at the new width.  Gang
-/// settlement is enabled exactly when the pool has more than one
-/// carrier, so SKIL_CARRIERS=1 reproduces the PR 3 single-queue
-/// behaviour.  Must not be called from inside a run.
+/// current pool -- the next run respawns it at the new width.
+/// SKIL_CARRIERS=1 reproduces the PR 3 single-queue behaviour.  Must
+/// not be called from inside a run.
 void executor_set_carriers(int n);
-
-/// Gang settlement hook for Proc::settle_pending -- see the
-/// declaration in proc.h for the contract.
-bool executor_gang_settle(Proc& proc);
 
 /// Spawns the carrier pool if needed and sizes the SKIL_PROF counter
 /// registry (prof.h) to cover every carrier.  The runtime calls this

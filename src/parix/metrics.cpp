@@ -395,13 +395,6 @@ void write_chrome_trace(const Trace& trace, const ProfTimeline* prof,
       lane.fibers_run = s.fibers_run;
       lane.steal_successes = s.steal_successes;
       lane.has_prev = true;
-
-      // The settle queue is global; carrier 0's ticks carry it.
-      if (s.carrier == 0) {
-        sep() << "{\"ph\":\"C\",\"pid\":1,\"ts\":" << fmt_double(ts_us)
-              << ",\"name\":\"settle queue\",\"args\":{\"waiting\":"
-              << s.settle_queue_depth << "}}";
-      }
       lane.last_us = ts_us;
     }
     for (int c = 0; c < prof->carriers; ++c) {
@@ -443,13 +436,12 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
 
   // Settlement accounting (charge_tape.h): how this run's dependent
   // chain adds were retired -- closed-form walks, memoized walks,
-  // probes, plain chains, gang/inline settles -- plus the derived
+  // probes, plain chains, chain-mode settles -- plus the derived
   // closed-form coverage fraction the perf claims are gated on.
   {
     const SettleCounters& s = result.settle;
     const std::uint64_t total_adds = s.closed_adds + s.memo_adds +
                                      s.probe_adds + s.chain_adds +
-                                     result.gang.gang_adds +
                                      result.gang.inline_adds;
     const double coverage =
         total_adds > 0
@@ -464,9 +456,6 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
         << ",\"probe_adds\":" << s.probe_adds
         << ",\"chain_records\":" << s.chain_records
         << ",\"chain_adds\":" << s.chain_adds
-        << ",\"gang_parks\":" << s.gang_parks
-        << ",\"gang_batches\":" << result.gang.batches
-        << ",\"gang_adds\":" << result.gang.gang_adds
         << ",\"inline_adds\":" << result.gang.inline_adds
         << ",\"closed_coverage\":" << fmt_double(coverage) << "}";
   }
@@ -528,24 +517,16 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
           << ",\"steal_attempts\":" << lane.steal_attempts
           << ",\"steal_successes\":" << lane.steal_successes
           << ",\"steal_failed_rounds\":" << lane.steal_failed_rounds
-          << ",\"settle_enqueues\":" << lane.settle_enqueues
           << ",\"parks\":" << lane.parks << ",\"unparks\":" << lane.unparks
           << ",\"run_ns\":" << lane.run_ns
-          << ",\"settle_ns\":" << lane.settle_ns
           << ",\"utilization_pct\":" << fmt_double(util) << "}";
-    }
-    out << "],\"gang_batches\":" << sr.gang_batches << ",\"gang_lane_hist\":[";
-    for (int k = 0; k < kProfGangLanes; ++k) {
-      if (k > 0) out << ",";
-      out << sr.gang_lane_hist[k];
     }
     const std::uint64_t pool_acquires = sr.pool.acquires;
     const double pool_hit_rate =
         pool_acquires > 0 ? static_cast<double>(sr.pool.hits) /
                                 static_cast<double>(pool_acquires)
                           : 0.0;
-    out << "],\"settle_queue_max\":" << sr.settle_queue_max
-        << ",\"pool\":{\"acquires\":" << sr.pool.acquires
+    out << "],\"pool\":{\"acquires\":" << sr.pool.acquires
         << ",\"hits\":" << sr.pool.hits << ",\"misses\":" << sr.pool.misses
         << ",\"bytes\":" << sr.pool.bytes
         << ",\"hit_rate\":" << fmt_double(pool_hit_rate) << "}"

@@ -98,8 +98,8 @@ void write_chrome_trace(const Trace& trace, std::ostream& out);
 /// Same, merging the SKIL_PROF=sampled host timeline (RunResult::prof)
 /// into the trace as a second process: one lane per carrier thread
 /// carrying "vproc N" occupancy slices, plus Perfetto counter tracks
-/// ("ph":"C") for ready-queue depth, dispatch/steal activity and the
-/// global settle-queue depth.  `prof` may be null (plain export).
+/// ("ph":"C") for ready-queue depth and dispatch/steal activity.
+/// `prof` may be null (plain export).
 /// Host lanes use *wall* microseconds on the shared trace clock --
 /// the sampler and the trace recorder share one wall epoch, so host
 /// and virtual lanes line up in Perfetto.

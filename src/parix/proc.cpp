@@ -1,7 +1,5 @@
 #include "parix/proc.h"
 
-#include "parix/executor.h"
-
 namespace skil::parix {
 
 namespace {
@@ -25,41 +23,11 @@ void trace_settle(ProcTrace* trace, double vtime, const char* path,
 void Proc::settle_pending() {
   const std::uint64_t pending = ledger_.pending_adds();
   switch (settle_mode_) {
-    case SettleMode::kGang:
-      // PR 4 behaviour: the gang hook parks the calling fiber and lets
-      // a carrier settle several processors' ledgers in one fused
-      // batch; outside the pooled engine (or when it declines -- one
-      // carrier, or a ledger too small to be worth two context
-      // switches) the scalar settle runs inline.  Either way the
-      // addends fold in append order, so the clock cannot tell the
-      // difference.
-      if (executor_gang_settle(*this)) {
-        trace_settle(trace_, vtime_, "settle gang", pending);
-        return;
-      }
+    case SettleMode::kChain:
       ledger_.settle(vtime_, stats_);
-      trace_settle(trace_, vtime_, "settle inline", pending);
+      trace_settle(trace_, vtime_, "settle chain", pending);
       return;
     case SettleMode::kClosed:
-      ledger_.settle_algebraic(vtime_, stats_);
-      trace_settle(trace_, vtime_, "settle closed", pending);
-      return;
-    case SettleMode::kAuto:
-      // Closed-form settlement beats the gang kernel wherever the ulp
-      // walk applies, so the gang is worth a park only when the
-      // ledger's chain-bound residue alone crosses the batching
-      // threshold: settle the walkable prefix algebraically, then
-      // offer the rest.  (Both paths walk the records in append
-      // order; splitting the ledger between them cannot move the
-      // clock.)
-      if (ledger_.pending_chain_adds() >= kSettleChainParkThreshold) {
-        ledger_.settle_algebraic_prefix(vtime_, stats_);
-        if (!ledger_.empty() && executor_gang_settle(*this)) {
-          note_gang_park();
-          trace_settle(trace_, vtime_, "settle gang", pending);
-          return;
-        }
-      }
       ledger_.settle_algebraic(vtime_, stats_);
       trace_settle(trace_, vtime_, "settle closed", pending);
       return;

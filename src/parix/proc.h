@@ -22,16 +22,6 @@
 
 namespace skil::parix {
 
-class Proc;
-
-/// Pooled-engine hook (executor.cpp): offers the processor's pending
-/// charge ledger to the gang settlement scheduler.  Returns true when
-/// the calling fiber parked, a carrier settled the ledger in a fused
-/// multi-lane batch, and the fiber has been resumed; false when the
-/// caller should settle inline (not in a fiber, gang disabled at one
-/// carrier, or the ledger is too small to be worth a park).
-bool executor_gang_settle(Proc& proc);
-
 class Proc {
  public:
   Proc(Machine& machine, int id)
@@ -102,8 +92,8 @@ class Proc {
   /// (send, recv, eager charge, stats/vtime read, trace flush).
   /// Deferral cannot move the clock -- settlement walks the records in
   /// append order through the identical dependent FP-add chain -- but
-  /// it lets the pooled engine settle many processors' independent
-  /// chains in one fused gang batch (charge_tape.h).
+  /// it gathers a skeleton's replays into one settlement call, where
+  /// the closed-form walk retires them (charge_tape.h).
   void replay(const ChargeTape& tape, std::uint64_t times) {
     SKIL_ASSERT(tape.size() <= ChargeTape::kMaxEntries,
                 "replay: tape exceeds kMaxEntries");
@@ -131,11 +121,6 @@ class Proc {
   void maybe_settle() {
     if (!ledger_.empty()) [[unlikely]] settle_pending();
   }
-
-  /// The raw (ledger, clock, stats) triple the gang settlement kernel
-  /// operates on; only meaningful while the owning fiber is parked for
-  /// settlement (the scheduler guarantees exclusive access).
-  GangLane gang_lane() { return GangLane{&ledger_, &vtime_, &stats_}; }
 
   /// Charges raw virtual microseconds of computation (used by tests and
   /// by code modelling costs outside the Op vocabulary).
@@ -195,10 +180,7 @@ class Proc {
     SKIL_ASSERT(msg.type != nullptr && *msg.type == typeid(T),
                 std::string("recv: payload type mismatch for tag ") +
                     std::to_string(tag));
-    // Settle *after* the blocking wait: the receive arithmetic below
-    // observes the clock, and parking first maximizes how many
-    // processors' pending ledgers a gang batch can fuse (awakened
-    // receivers settle together).
+    // The receive arithmetic below observes the clock: settle first.
     maybe_settle();
     const double last_hop_us =
         cost().msg_per_byte_us * static_cast<double>(msg.bytes);
@@ -268,11 +250,11 @@ class Proc {
   void set_trace(ProcTrace* trace) { trace_ = trace; }
   ProcTrace* trace() { return trace_; }
 
-  /// Selects how settle_pending retires the deferred chain (gang
-  /// batches, algebraic closed form, or auto -- charge_tape.h).  Set
-  /// by spmd_run from RunConfig::settle before the body starts; every
-  /// mode settles the identical add chain, so vtimes are bit-identical
-  /// across modes (asserted in tests/test_parix_charge_tape.cpp).
+  /// Selects how settle_pending retires the deferred chain (plain
+  /// chain or algebraic closed form -- charge_tape.h).  Set by
+  /// spmd_run from RunConfig::settle before the body starts; both
+  /// modes settle the identical add chain, so vtimes are bit-identical
+  /// across them (asserted in tests/test_parix_charge_tape.cpp).
   void set_settle_mode(SettleMode mode) { settle_mode_ = mode; }
   SettleMode settle_mode() const { return settle_mode_; }
 
@@ -330,9 +312,8 @@ class Proc {
   }
 
  private:
-  /// Out-of-line slow path of maybe_settle (proc.cpp): offers the
-  /// ledger to the pooled engine's gang scheduler, falling back to an
-  /// inline scalar settle.
+  /// Out-of-line slow path of maybe_settle (proc.cpp): settles the
+  /// ledger in the configured SettleMode.
   void settle_pending();
 
   /// Timestamping and accounting shared by every send flavour.  The

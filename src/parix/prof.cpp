@@ -5,15 +5,9 @@
 #include <mutex>
 #include <thread>
 
-#include "parix/charge_tape.h"
 #include "support/env.h"
 
 namespace skil::parix {
-
-// The gang histogram is indexed by lanes-1, so the registry layout is
-// wrong the moment the settle kernel's width changes.
-static_assert(kProfGangLanes == kGangWidth,
-              "prof gang histogram width must match the settle kernel");
 
 namespace {
 
@@ -116,28 +110,13 @@ void prof_ensure_registry(int carriers) {
       dst.steal_failed_rounds.store(
           src.steal_failed_rounds.load(std::memory_order_relaxed),
           std::memory_order_relaxed);
-      dst.settle_enqueues.store(
-          src.settle_enqueues.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
       dst.parks.store(src.parks.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
       dst.unparks.store(src.unparks.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
       dst.run_ns.store(src.run_ns.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
-      dst.settle_ns.store(src.settle_ns.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
     }
-    grown->globals.gang_batches.store(
-        current->globals.gang_batches.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    for (int i = 0; i < kProfGangLanes; ++i)
-      grown->globals.gang_lane_hist[i].store(
-          current->globals.gang_lane_hist[i].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    grown->globals.settle_queue_max.store(
-        current->globals.settle_queue_max.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
   }
   grown->carriers = lanes.get();
   grown->n = carriers;
@@ -171,13 +150,6 @@ PoolCounters prof_pool_counters() {
   return pool_counters_slot();
 }
 
-void prof_reset_watermarks() {
-  ProfRegistry* registry =
-      prof_detail::g_registry.load(std::memory_order_relaxed);
-  if (registry == nullptr) return;
-  registry->globals.settle_queue_max.store(0, std::memory_order_relaxed);
-}
-
 RegistrySnapshot prof_snapshot() {
   RegistrySnapshot snapshot;
   ProfRegistry* registry =
@@ -193,20 +165,11 @@ RegistrySnapshot prof_snapshot() {
     lane.steal_successes = c.steal_successes.load(std::memory_order_relaxed);
     lane.steal_failed_rounds =
         c.steal_failed_rounds.load(std::memory_order_relaxed);
-    lane.settle_enqueues = c.settle_enqueues.load(std::memory_order_relaxed);
     lane.parks = c.parks.load(std::memory_order_relaxed);
     lane.unparks = c.unparks.load(std::memory_order_relaxed);
     lane.run_ns = c.run_ns.load(std::memory_order_relaxed);
-    lane.settle_ns = c.settle_ns.load(std::memory_order_relaxed);
     snapshot.lanes.push_back(lane);
   }
-  snapshot.gang_batches =
-      registry->globals.gang_batches.load(std::memory_order_relaxed);
-  for (int i = 0; i < kProfGangLanes; ++i)
-    snapshot.gang_lane_hist[i] =
-        registry->globals.gang_lane_hist[i].load(std::memory_order_relaxed);
-  snapshot.settle_queue_max =
-      registry->globals.settle_queue_max.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -217,17 +180,10 @@ void SchedulerTotals::add(const SchedulerReport& report) {
     steal_attempts += c.steal_attempts;
     steal_successes += c.steal_successes;
     steal_failed_rounds += c.steal_failed_rounds;
-    settle_enqueues += c.settle_enqueues;
     parks += c.parks;
     unparks += c.unparks;
     run_ns += c.run_ns;
-    settle_ns += c.settle_ns;
   }
-  gang_batches += report.gang_batches;
-  for (int i = 0; i < kProfGangLanes; ++i)
-    gang_lane_hist[i] += report.gang_lane_hist[i];
-  if (report.settle_queue_max > settle_queue_max)
-    settle_queue_max = report.settle_queue_max;
   pool_acquires += report.pool.acquires;
   pool_hits += report.pool.hits;
   pool_misses += report.pool.misses;
@@ -240,16 +196,9 @@ void SchedulerTotals::add(const SchedulerTotals& other) {
   steal_attempts += other.steal_attempts;
   steal_successes += other.steal_successes;
   steal_failed_rounds += other.steal_failed_rounds;
-  settle_enqueues += other.settle_enqueues;
   parks += other.parks;
   unparks += other.unparks;
   run_ns += other.run_ns;
-  settle_ns += other.settle_ns;
-  gang_batches += other.gang_batches;
-  for (int i = 0; i < kProfGangLanes; ++i)
-    gang_lane_hist[i] += other.gang_lane_hist[i];
-  if (other.settle_queue_max > settle_queue_max)
-    settle_queue_max = other.settle_queue_max;
   pool_acquires += other.pool_acquires;
   pool_hits += other.pool_hits;
   pool_misses += other.pool_misses;
@@ -358,8 +307,6 @@ void ProfSampler::sample_once(std::chrono::steady_clock::time_point now) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(now - epoch_)
           .count());
   const int lanes = std::min(timeline_->carriers, registry->n);
-  const std::int32_t settle_depth =
-      registry->globals.settle_queue_depth.load(std::memory_order_relaxed);
   for (int i = 0; i < lanes; ++i) {
     const CarrierCounters& c = registry->carriers[i];
     ProfSample sample;
@@ -367,7 +314,6 @@ void ProfSampler::sample_once(std::chrono::steady_clock::time_point now) {
     sample.carrier = i;
     sample.running_proc = c.running_proc.load(std::memory_order_relaxed);
     sample.queue_depth = c.queue_depth.load(std::memory_order_relaxed);
-    sample.settle_queue_depth = settle_depth;
     sample.fibers_run = c.fibers_run.load(std::memory_order_relaxed);
     sample.steal_successes = c.steal_successes.load(std::memory_order_relaxed);
     timeline_->samples.push_back(sample);

@@ -2,10 +2,9 @@
 //
 // Renders the `scheduler` object of a metrics JSON file (plus the
 // `settlement` object when present) as the skil-prof CLI's dashboard:
-// per-carrier utilization, steal success rate, settlement coverage,
-// pool hit rate and the widest gang batches.  The output is fully
-// deterministic for a given input -- tests pin it byte-exactly
-// against a fixture.
+// per-carrier utilization, steal success rate, settlement coverage
+// and pool hit rate.  The output is fully deterministic for a given
+// input -- tests pin it byte-exactly against a fixture.
 #pragma once
 
 #include <ostream>
@@ -15,9 +14,8 @@
 namespace skil::parix {
 
 /// Renders the dashboard; throws ContractError when `metrics` carries
-/// no scheduler object (the run was SKIL_PROF=off).  `top_n` bounds
-/// the widest-gang-batches list.
+/// no scheduler object (the run was SKIL_PROF=off).
 void render_prof_report(const support::json::Value& metrics,
-                        std::ostream& out, int top_n = 3);
+                        std::ostream& out);
 
 }  // namespace skil::parix

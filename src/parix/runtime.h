@@ -63,9 +63,9 @@ struct RunConfig {
   /// a single untaken branch per communication/span site, so virtual
   /// times are bit-identical across all modes.
   TraceMode trace = default_trace_mode();
-  /// Ledger settlement strategy (charge_tape.h, SKIL_SETTLE).  Every
-  /// mode retires the identical dependent add chain, so virtual times
-  /// are bit-identical across modes.
+  /// Ledger settlement strategy (charge_tape.h, SKIL_SETTLE).  Both
+  /// modes retire the identical dependent add chain, so virtual times
+  /// are bit-identical across them.
   SettleMode settle = default_settle_mode();
   /// Skeleton-composition fusion (charge_tape.h, SKIL_FUSE).  Unlike
   /// the knobs above this one legitimately moves virtual time: kOn
@@ -105,8 +105,15 @@ struct RunResult {
   /// process see each other's activity; single-run processes (tests,
   /// the forked bench cells) read them as exact per-run numbers.
   SettleCounters settle;
-  /// Gang-counter delta over this run, same caveat.
-  GangCounters gang;
+  struct SettleAdds {
+    /// Always 0; stays for the benchmark harness.
+    std::uint64_t gang_adds = 0;
+    /// Adds SKIL_SETTLE=chain executed; stays for the benchmark harness.
+    std::uint64_t inline_adds = 0;
+  };
+  /// Chain-mode settlement adds over this run, same caveat.  The
+  /// member name stays for the benchmark harness.
+  SettleAdds gang;
   /// Fusion-counter delta over this run, same caveat.  All zero under
   /// FuseMode::kOff (the off path never consults the fused variants).
   FusionCounters fusion;

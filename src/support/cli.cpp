@@ -1,11 +1,27 @@
 #include "support/cli.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
-#include "support/error.h"
-
 namespace skil::support {
+
+namespace {
+
+/// Prints `problem` (if any) and the usage line to stderr, then exits
+/// with status 2.
+[[noreturn]] void usage_exit(const std::string& program,
+                             const std::vector<std::string>& allowed,
+                             const std::string& problem) {
+  if (!problem.empty()) std::fprintf(stderr, "%s\n", problem.c_str());
+  std::fprintf(stderr, "usage: %s", program.c_str());
+  for (const std::string& name : allowed)
+    std::fprintf(stderr, " [--%s]", name.c_str());
+  std::fprintf(stderr, "\n");
+  std::exit(2);
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv, std::vector<std::string> allowed)
     : program_(argc > 0 ? argv[0] : "") {
@@ -31,7 +47,9 @@ Cli::Cli(int argc, char** argv, std::vector<std::string> allowed)
       // the following token when one is present).
       value = argv[++i];
     }
-    SKIL_REQUIRE(permitted(name), "unknown command-line flag: --" + name);
+    if (name == "help") usage_exit(program_, allowed, "");
+    if (!permitted(name))
+      usage_exit(program_, allowed, "unknown command-line flag: --" + name);
     values_[name] = value;
   }
 }

@@ -1,8 +1,10 @@
 // Minimal command-line flag parsing for bench and example binaries.
 //
 // Accepted syntax: --name=value, --name value, --flag (boolean true).
-// Unknown flags raise an error so typos in benchmark invocations are
-// caught instead of silently running the default configuration.
+// --help and unknown flags print the usage line (program name and
+// accepted flags) to stderr and exit with status 2, so typos in
+// benchmark invocations are caught instead of silently running the
+// default configuration.
 #pragma once
 
 #include <map>
@@ -14,7 +16,8 @@ namespace skil::support {
 /// Parsed command line.
 class Cli {
  public:
-  /// `spec` lists the allowed flag names (without leading dashes).
+  /// `allowed` lists the allowed flag names (without leading dashes).
+  /// Exits the process with status 2 on --help or an unknown flag.
   Cli(int argc, char** argv, std::vector<std::string> allowed);
 
   bool has(const std::string& name) const;

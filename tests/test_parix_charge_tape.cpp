@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -223,128 +224,19 @@ TEST(DeferredLedger, DeferredChargesMatchEagerCharges) {
   EXPECT_EQ(deferred.total, eager.total);
 }
 
-// --- gang settlement kernel: lane vs scalar bit-equality ------------------
-
-struct LaneFixture {
-  std::array<ChargeLedger, kGangWidth> gang_ledgers;
-  std::array<ChargeLedger, kGangWidth> scalar_ledgers;
-  std::array<double, kGangWidth> gang_vt{};
-  std::array<double, kGangWidth> scalar_vt{};
-  std::array<Stats, kGangWidth> gang_stats{};
-  std::array<Stats, kGangWidth> scalar_stats{};
-  std::array<double, kOpKinds> unit{};
-
-  LaneFixture() {
-    const CostModel cost = CostModel::t800();
-    for (int k = 0; k < kOpKinds; ++k)
-      unit[k] = cost.unit(static_cast<Op>(k));
-    for (int l = 0; l < kGangWidth; ++l) {
-      // Distinct starting clocks and compute totals per lane so a
-      // cross-lane mixup cannot cancel out.
-      gang_vt[l] = scalar_vt[l] = 1000.0 + 3.125 * l;
-      gang_stats[l].compute_us = scalar_stats[l].compute_us = 17.0 * l;
-    }
-  }
-
-  void append(int lane, const ChargeTape& tape, std::uint64_t times) {
-    gang_ledgers[lane].append_replay(tape, unit.data(), times);
-    scalar_ledgers[lane].append_replay(tape, unit.data(), times);
-  }
-
-  /// Settles the scalar lanes one by one, the gang lanes in one fused
-  /// call, and asserts every lane's vtime, compute_us and op counters
-  /// are bit-identical (EXPECT_EQ on double is exact equality).
-  void settle_and_compare(int k) {
-    std::array<GangLane, kGangWidth> lanes;
-    for (int l = 0; l < k; ++l)
-      lanes[l] = GangLane{&gang_ledgers[l], &gang_vt[l], &gang_stats[l]};
-    gang_settle(lanes.data(), k);
-    for (int l = 0; l < k; ++l)
-      scalar_ledgers[l].settle(scalar_vt[l], scalar_stats[l]);
-    for (int l = 0; l < k; ++l) {
-      SCOPED_TRACE(l);
-      EXPECT_EQ(gang_vt[l], scalar_vt[l]);
-      EXPECT_EQ(gang_stats[l], scalar_stats[l]);
-      EXPECT_TRUE(gang_ledgers[l].empty());
-    }
-  }
-};
-
-TEST(GangSettle, UniformShapesLaneVsScalarBitIdentical) {
-  // Every lane on the same tape shape with different repetition
-  // counts: the kernel's vector lockstep path, chunked at the minimum
-  // remaining count.  Per-lane IEEE vector adds must land every lane
-  // exactly where its scalar chain lands.
-  LaneFixture fx;
-  ChargeTape tape;
-  tape.charge(Op::kFloatOp, 2);
-  tape.charge(Op::kFloatOp);
-  tape.charge(Op::kCall, 3);
-  tape.charge(Op::kIntOp, 7);
-  for (int l = 0; l < kGangWidth; ++l)
-    fx.append(l, tape, 500 + 137 * static_cast<std::uint64_t>(l));
-  fx.settle_and_compare(kGangWidth);
-}
-
-TEST(GangSettle, DivergentShapesLaneVsScalarBitIdentical) {
-  // Different tape lengths per lane force the software-pipelined
-  // scalar rounds; lanes retire at different times.
-  LaneFixture fx;
-  for (int l = 0; l < kGangWidth; ++l) {
-    ChargeTape tape;
-    for (int i = 0; i <= l; ++i)
-      tape.charge(static_cast<Op>((l + i) % kOpKinds), 1 + i);
-    fx.append(l, tape, 100 + 31 * static_cast<std::uint64_t>(l));
-  }
-  fx.settle_and_compare(kGangWidth);
-}
-
-TEST(GangSettle, MixedRecordsAndEarlyRetiringLanes) {
-  // Multiple records per lane, uniform prefix then divergent tails,
-  // one lane left empty: the kernel flips between its vector and
-  // pipelined paths and peels lanes as their ledgers drain.
-  LaneFixture fx;
-  ChargeTape common;
-  common.charge(Op::kFloatOp, 2);
-  common.charge(Op::kAlloc);
-  for (int l = 0; l < kGangWidth - 1; ++l) {
-    fx.append(l, common, 200);
-    if (l % 2 == 0) {
-      ChargeTape extra;
-      for (int i = 0; i < 3 + l; ++i) extra.charge(Op::kCopyWord, 1 + i);
-      fx.append(l, extra, 40 + static_cast<std::uint64_t>(l));
-    }
-    if (l % 3 == 0) fx.append(l, common, 11);
-  }
-  fx.settle_and_compare(kGangWidth);  // last lane: empty ledger
-}
-
-TEST(GangSettle, SingleLaneMatchesScalar) {
-  LaneFixture fx;
-  ChargeTape tape;
-  tape.charge(Op::kFloatOp);
-  tape.charge(Op::kCall, 2);
-  fx.append(0, tape, 12345);
-  fx.settle_and_compare(1);
-}
-
 // --- multi-carrier golden equality ----------------------------------------
 
 TEST(MultiCarrier, GoldenCellsBitIdenticalAcrossCarrierCounts) {
-  // The pooled engine must reproduce every golden cell bit-for-bit
-  // with gang settlement off (1 carrier) and on (4 carriers), under
-  // both charge paths.  The dpfl cells' elimination replays exceed the
-  // gang batching threshold, so the 4-carrier tape runs really do
-  // settle through the fused kernel.  Pinned to SettleMode::kGang:
-  // under the kAuto default the algebraic engine retires the replays
-  // closed-form and the batch counter assertion below would see no
-  // gang activity (kAuto coverage lives in SettleModeGolden).
+  // The pooled engine must reproduce every golden cell bit-for-bit on
+  // one carrier and on four (fibers migrate between carriers and share
+  // the settlement memo), under both charge paths.  Pinned to
+  // SettleMode::kClosed, whose closed-form walks must really run.
   const SettleMode saved_settle = default_settle_mode();
-  set_default_settle_mode(SettleMode::kGang);
+  set_default_settle_mode(SettleMode::kClosed);
   for (int carriers : {1, 4}) {
     SCOPED_TRACE(carriers);
     executor_set_carriers(carriers);
-    const GangCounters before = gang_counters();
+    std::uint64_t closed_runs = 0;
     for (const GoldenCase& c : golden_cases()) {
       SCOPED_TRACE(c.name);
       for (ChargePath path : {ChargePath::kInterp, ChargePath::kTape}) {
@@ -358,19 +250,12 @@ TEST(MultiCarrier, GoldenCellsBitIdenticalAcrossCarrierCounts) {
         EXPECT_EQ(r.total.comm_us, c.comm_us);
         EXPECT_EQ(r.total.messages_sent, c.messages_sent);
         EXPECT_EQ(r.total.bytes_sent, c.bytes_sent);
+        closed_runs += r.settle.closed_runs;
       }
     }
-    const GangCounters after = gang_counters();
-    if (carriers == 1) {
-      // Gang settlement is gated on carriers > 1 so the single-carrier
-      // pool reproduces the PR 3 behaviour exactly.
-      EXPECT_EQ(after.batches, before.batches);
-    } else {
-      // The equality above would hold vacuously if the scheduler
-      // always declined; the counters prove the fused path really ran.
-      EXPECT_GT(after.batches, before.batches);
-      EXPECT_GE(after.lanes, after.batches);
-    }
+    // The equality above would hold vacuously if every record had
+    // fallen back to the plain chain.
+    EXPECT_GT(closed_runs, 0u);
   }
   executor_set_carriers(0);  // restore the SKIL_CARRIERS / hw default
   set_default_settle_mode(saved_settle);
@@ -508,7 +393,6 @@ TEST(AlgebraicSettle, NegativeAndNonFiniteAddendsPinToTheChain) {
     led.append_replay(tape, neg.unit.data(), 100);
     ASSERT_EQ(led.records().size(), 1u);
     EXPECT_TRUE(led.records()[0].chain_only);
-    EXPECT_EQ(led.pending_chain_adds(), led.pending_adds());
   }
   neg.expect_algebraic_matches_chain(tape, 1000, 1000.0);
 
@@ -604,51 +488,19 @@ TEST(TapeIdentity, CoalescedChargeRecordsDropTheTapeId) {
   EXPECT_EQ(led.records()[0].tape_id, 0u);
 }
 
-TEST(SettlePrefix, WalkablePrefixSettlesAndChainResidueStaysPending) {
-  SettleFixture fx;
-  ChargeTape tape;
-  tape.charge(Op::kFloatOp, 2);
-  tape.charge(Op::kCall);
-
-  ChargeLedger led, ora;
-  for (ChargeLedger* l : {&led, &ora}) {
-    l->append_replay(tape, fx.unit.data(), 100);      // walkable
-    l->append_charge(Op::kIntOp, 1,
-                     fx.unit[static_cast<int>(Op::kIntOp)]);  // chain-bound
-    l->append_replay(tape, fx.unit.data(), 50);       // walkable again
-  }
-  ASSERT_EQ(led.records().size(), 3u);
-  EXPECT_EQ(led.pending_adds(), 200u + 1u + 100u);
-
-  double vt = 1000.0, vo = 1000.0;
-  Stats st, so;
-  led.settle_algebraic_prefix(vt, st);
-  // Only the leading walkable record settles; the chain record and
-  // everything after it stay pending behind the head cursor.
-  EXPECT_EQ(led.head(), 1u);
-  EXPECT_FALSE(led.empty());
-  EXPECT_EQ(led.pending_adds(), 101u);
-  led.settle(vt, st);  // retire the residue through the plain chain
-  EXPECT_TRUE(led.empty());
-
-  ora.settle(vo, so);
-  EXPECT_EQ(vt, vo);
-  EXPECT_EQ(st, so);
-}
-
 // --- settlement modes on the golden cells ---------------------------------
 
 TEST(SettleModeGolden, AllModesReproduceGoldenValuesBitForBit) {
-  // gang / closed / auto retire the identical dependent add chain, so
+  // chain and closed retire the identical dependent add chain, so
   // every golden cell must land on the golden values under each mode
-  // (the per-run counters prove the closed-form path really engaged
-  // rather than silently falling back to the chain).
+  // (the counters prove each mode's path really engaged rather than
+  // silently falling back to the other).
   const SettleMode saved = default_settle_mode();
-  for (SettleMode mode :
-       {SettleMode::kGang, SettleMode::kClosed, SettleMode::kAuto}) {
+  for (SettleMode mode : {SettleMode::kChain, SettleMode::kClosed}) {
     SCOPED_TRACE(settle_mode_name(mode));
     set_default_settle_mode(mode);
     const SettleCounters before = settle_counters();
+    const std::uint64_t chain_before = inline_settle_adds();
     for (const GoldenCase& c : golden_cases()) {
       SCOPED_TRACE(c.name);
       const RunResult r = with_charge_path(ChargePath::kTape, [&] {
@@ -660,18 +512,21 @@ TEST(SettleModeGolden, AllModesReproduceGoldenValuesBitForBit) {
       EXPECT_EQ(r.total.comm_us, c.comm_us);
     }
     const SettleCounters after = settle_counters();
-    if (mode != SettleMode::kGang)
+    if (mode == SettleMode::kChain) {
+      EXPECT_GT(inline_settle_adds(), chain_before);
+      EXPECT_EQ(after.closed_runs, before.closed_runs);
+    } else {
       EXPECT_GT(after.closed_runs, before.closed_runs);
+    }
   }
   set_default_settle_mode(saved);
 }
 
 // --- strict switch parsing ------------------------------------------------
 
-TEST(SettleModeParsing, AcceptsTheThreeKnownNames) {
-  EXPECT_EQ(parse_settle_mode("gang"), SettleMode::kGang);
+TEST(SettleModeParsing, AcceptsTheTwoKnownNames) {
+  EXPECT_EQ(parse_settle_mode("chain"), SettleMode::kChain);
   EXPECT_EQ(parse_settle_mode("closed"), SettleMode::kClosed);
-  EXPECT_EQ(parse_settle_mode("auto"), SettleMode::kAuto);
 }
 
 TEST(SettleModeParsing, RejectsUnknownNamesListingAcceptedValues) {
@@ -682,22 +537,27 @@ TEST(SettleModeParsing, RejectsUnknownNamesListingAcceptedValues) {
     const std::string what = e.what();
     EXPECT_NE(what.find("SKIL_SETTLE"), std::string::npos);
     EXPECT_NE(what.find("eager"), std::string::npos);
-    EXPECT_NE(what.find("gang, closed, auto"), std::string::npos);
+    EXPECT_NE(what.find("chain, closed"), std::string::npos);
   }
   EXPECT_THROW(parse_settle_mode(""), support::ContractError);
-  EXPECT_THROW(parse_settle_mode("Auto"), support::ContractError);
+  EXPECT_THROW(parse_settle_mode("Closed"), support::ContractError);
+  // The retired mode names are unknown names now, not aliases.
+  EXPECT_THROW(parse_settle_mode("gang"), support::ContractError);
+  EXPECT_THROW(parse_settle_mode("auto"), support::ContractError);
 }
 
 TEST(SettleModeParsing, NamesRoundTripThroughTheParser) {
-  for (SettleMode mode :
-       {SettleMode::kGang, SettleMode::kClosed, SettleMode::kAuto})
+  for (SettleMode mode : {SettleMode::kChain, SettleMode::kClosed})
     EXPECT_EQ(parse_settle_mode(settle_mode_name(mode)), mode);
 }
 
 TEST(SettleModeDefault, SetDefaultRoundTrips) {
   const SettleMode saved = default_settle_mode();
-  for (SettleMode mode :
-       {SettleMode::kGang, SettleMode::kClosed, SettleMode::kAuto}) {
+  // Without SKIL_SETTLE the process default is the closed form.
+  if (std::getenv("SKIL_SETTLE") == nullptr) {
+    EXPECT_EQ(saved, SettleMode::kClosed);
+  }
+  for (SettleMode mode : {SettleMode::kChain, SettleMode::kClosed}) {
     set_default_settle_mode(mode);
     EXPECT_EQ(default_settle_mode(), mode);
   }

@@ -1,4 +1,5 @@
-// Differential fuzz for the deferred charge ledger and gang settlement.
+// Differential fuzz for the deferred charge ledger and its settlement
+// modes.
 //
 // Random compositions of taped skeletons (skil array_map_taped, dpfl
 // fa_map_taped / fa_fold_taped) interleaved with eager skeletons
@@ -7,20 +8,23 @@
 // ways:
 //
 //   1. interpretive charging on the threads engine,
-//   2. taped charging on the pooled engine with one carrier
-//      (deferred ledgers, inline settlement, gang off),
-//   3. taped charging on the pooled engine with four carriers
-//      (gang settlement on).
+//   2. taped charging on the pooled engine with one carrier,
+//   3. taped charging on the pooled engine with four carriers,
+//
+// once with every deferred add executed through the plain chain
+// (SKIL_SETTLE=chain) and once settled algebraically
+// (SKIL_SETTLE=closed; with four carriers the shared settlement memo
+// is also exercised concurrently).
 //
 // All three must produce bit-identical per-processor virtual times and
 // operation statistics: the taped variants are chain-identical to the
 // interpretive ones by construction (DESIGN.md section 8), deferral
-// only moves *when* the same adds execute (section 10), and the gang
-// kernel performs per-lane IEEE adds in the scalar settle order.  The
-// shapes deliberately mix ragged small grids (empty partitions, odd
-// remainders) with partitions large enough to push ledgers past the
-// gang batching threshold, and the gang counters assert the batched
-// path really ran.
+// only moves *when* the same adds execute (section 10), and the
+// closed-form walk lands on the clock the chain would have produced
+// (section 12).  The shapes deliberately mix ragged small grids (empty
+// partitions, odd remainders) with partitions large enough for long
+// replay records, and the settlement counters assert that every path
+// really ran.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -82,7 +86,7 @@ ProgramSpec make_program(std::uint64_t seed) {
     prog.cols = 1 + static_cast<int>(rng() % 9);
   } else {
     // Large enough that a deferred map over the local partition
-    // crosses the gang batching threshold (~2048 chain adds).
+    // holds a few thousand chain adds.
     prog.rows = prog.p * (24 + static_cast<int>(rng() % 20));
     prog.cols = 17 + static_cast<int>(rng() % 16);
   }
@@ -100,7 +104,7 @@ ProgramSpec make_program(std::uint64_t seed) {
 }
 
 /// Executes the program.  `taped` selects the tape-specialized
-/// skeleton variants (deferred ledger / gang settlement path); the
+/// skeleton variants (deferred ledger and its settlement); the
 /// interpretive variants charge the identical sequences eagerly
 /// per element.
 parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
@@ -129,8 +133,8 @@ parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
         case kSkilMap: {
           // One tape drives two consecutive map calls (a -> b, then
           // b -> a): the second replay settles against the memo entry
-          // the first one probed, giving the closed/auto settlement
-          // fuzz its cross-replay cache hit/miss interleavings.
+          // the first one probed, giving the closed settlement fuzz
+          // its cross-replay cache hit/miss interleavings.
           if (taped) {
             const parix::ChargeTape tape = build_tape(step.tape);
             array_map_taped(
@@ -229,14 +233,20 @@ parix::RunResult with_engine(parix::ExecutionEngine engine, Fn&& fn) {
   return result;
 }
 
+// The suite is named GangFuzz after the gang settlement mode these
+// fuzzers were first written against; that mode is gone, and each test
+// now drives the two remaining modes (chain and closed).
+
 TEST(GangFuzz, RandomTapedCompositionsBitIdenticalAcrossPaths) {
-  // Pinned to SettleMode::kGang: under the kAuto default the
-  // algebraic engine would retire the replays closed-form and the
-  // gang-batch assertion at the end would be vacuous (closed/auto
-  // coverage is the next test).
+  // Pinned to SettleMode::kChain, which executes every deferred add:
+  // under the kClosed default the algebraic engine would retire most
+  // replays closed-form, and the chain-add assertion at the end would
+  // be vacuous (closed coverage is the next test).  One carrier settles
+  // each ledger with no other fiber running; four carriers settle
+  // ledgers of different processors concurrently.
   const parix::SettleMode saved_settle = parix::default_settle_mode();
-  parix::set_default_settle_mode(parix::SettleMode::kGang);
-  const parix::GangCounters before = parix::gang_counters();
+  parix::set_default_settle_mode(parix::SettleMode::kChain);
+  const std::uint64_t chain_before = parix::inline_settle_adds();
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const ProgramSpec prog = make_program(seed * 0x9E3779B97F4A7C15ull + 1);
     SCOPED_TRACE(::testing::Message()
@@ -253,42 +263,41 @@ TEST(GangFuzz, RandomTapedCompositionsBitIdenticalAcrossPaths) {
         [&] { return run_program(prog, /*taped=*/true); });
 
     parix::executor_set_carriers(4);
-    const parix::RunResult tape_gang = with_engine(
+    const parix::RunResult tape_four = with_engine(
         parix::ExecutionEngine::kPooled,
         [&] { return run_program(prog, /*taped=*/true); });
     parix::executor_set_carriers(0);
 
     ASSERT_EQ(interp.proc_vtimes.size(), static_cast<std::size_t>(prog.p));
     ASSERT_EQ(tape_one.proc_vtimes.size(), interp.proc_vtimes.size());
-    ASSERT_EQ(tape_gang.proc_vtimes.size(), interp.proc_vtimes.size());
+    ASSERT_EQ(tape_four.proc_vtimes.size(), interp.proc_vtimes.size());
     for (int pid = 0; pid < prog.p; ++pid) {
       SCOPED_TRACE(::testing::Message() << "proc " << pid);
       EXPECT_EQ(interp.proc_vtimes[pid], tape_one.proc_vtimes[pid]);
-      EXPECT_EQ(interp.proc_vtimes[pid], tape_gang.proc_vtimes[pid]);
+      EXPECT_EQ(interp.proc_vtimes[pid], tape_four.proc_vtimes[pid]);
       EXPECT_EQ(interp.proc_stats[pid], tape_one.proc_stats[pid]);
-      EXPECT_EQ(interp.proc_stats[pid], tape_gang.proc_stats[pid]);
+      EXPECT_EQ(interp.proc_stats[pid], tape_four.proc_stats[pid]);
     }
   }
-  // The large shapes must have driven real gang batches in the
-  // four-carrier runs; otherwise this test only exercised the inline
-  // settle path and the three-way identity would be vacuous for the
-  // gang kernel.
-  const parix::GangCounters after = parix::gang_counters();
-  EXPECT_GT(after.batches, before.batches);
   parix::set_default_settle_mode(saved_settle);
+  // The taped runs must have settled real deferred adds through the
+  // chain; otherwise this test only exercised eager charging and the
+  // three-way identity would be vacuous for the ledger.
+  EXPECT_GT(parix::inline_settle_adds(), chain_before);
 }
 
 TEST(GangFuzz, ClosedAndAutoSettlementBitIdenticalVsInterp) {
-  // The same random compositions under the PR 6 settlement modes:
+  // The same random compositions under algebraic settlement:
   // interpretive charging (threads engine) vs taped charging settled
-  // algebraically (kClosed, one carrier -- every record walks or
-  // chains inline) vs taped charging under kAuto with four carriers
-  // (closed-form walks with gang escalation available for chain-bound
-  // residues).  The programs mix walkable replay records with eager
-  // steps whose append_charge records are chain-bound, and reuse each
-  // step's tape across processors and map calls, so one run exercises
-  // probe (memo miss), memo hit, plain-chain and mixed interleavings
-  // of all three.  All paths must agree with interp to the last bit.
+  // by SettleMode::kClosed on one carrier (every record walks or
+  // chains inline) and on four carriers (the carriers share the
+  // settlement memo, so it is exercised concurrently; this is what the
+  // former auto mode ran).  The programs mix walkable replay records
+  // with eager steps whose append_charge records are chain-bound, and
+  // reuse each step's tape across processors and map calls, so one run
+  // exercises probe (memo miss), memo hit, plain-chain and mixed
+  // interleavings of all three.  All paths must agree with interp to
+  // the last bit.
   const parix::SettleMode saved_settle = parix::default_settle_mode();
   const parix::SettleCounters before = parix::settle_counters();
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
@@ -304,26 +313,25 @@ TEST(GangFuzz, ClosedAndAutoSettlementBitIdenticalVsInterp) {
 
     parix::set_default_settle_mode(parix::SettleMode::kClosed);
     parix::executor_set_carriers(1);
-    const parix::RunResult tape_closed = with_engine(
+    const parix::RunResult tape_one = with_engine(
         parix::ExecutionEngine::kPooled,
         [&] { return run_program(prog, /*taped=*/true); });
 
-    parix::set_default_settle_mode(parix::SettleMode::kAuto);
     parix::executor_set_carriers(4);
-    const parix::RunResult tape_auto = with_engine(
+    const parix::RunResult tape_four = with_engine(
         parix::ExecutionEngine::kPooled,
         [&] { return run_program(prog, /*taped=*/true); });
     parix::executor_set_carriers(0);
 
     ASSERT_EQ(interp.proc_vtimes.size(), static_cast<std::size_t>(prog.p));
-    ASSERT_EQ(tape_closed.proc_vtimes.size(), interp.proc_vtimes.size());
-    ASSERT_EQ(tape_auto.proc_vtimes.size(), interp.proc_vtimes.size());
+    ASSERT_EQ(tape_one.proc_vtimes.size(), interp.proc_vtimes.size());
+    ASSERT_EQ(tape_four.proc_vtimes.size(), interp.proc_vtimes.size());
     for (int pid = 0; pid < prog.p; ++pid) {
       SCOPED_TRACE(::testing::Message() << "proc " << pid);
-      EXPECT_EQ(interp.proc_vtimes[pid], tape_closed.proc_vtimes[pid]);
-      EXPECT_EQ(interp.proc_vtimes[pid], tape_auto.proc_vtimes[pid]);
-      EXPECT_EQ(interp.proc_stats[pid], tape_closed.proc_stats[pid]);
-      EXPECT_EQ(interp.proc_stats[pid], tape_auto.proc_stats[pid]);
+      EXPECT_EQ(interp.proc_vtimes[pid], tape_one.proc_vtimes[pid]);
+      EXPECT_EQ(interp.proc_vtimes[pid], tape_four.proc_vtimes[pid]);
+      EXPECT_EQ(interp.proc_stats[pid], tape_one.proc_stats[pid]);
+      EXPECT_EQ(interp.proc_stats[pid], tape_four.proc_stats[pid]);
     }
   }
   parix::set_default_settle_mode(saved_settle);

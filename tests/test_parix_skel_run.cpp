@@ -282,7 +282,10 @@ TEST_P(SkelRunEngines, MapMatchesLibrarySkeleton) {
       auto b = array_create<double>(proc, 1, Size{n},
                                     [](Index) { return 0.0; });
       array_map([w](double v, Index) { return w * v + 1.0; }, a, b);
-      ys_engine = array_gather_all(b);
+      // Every processor gathers (a collective); one stores the result,
+      // so the host-side vector has a single writer.
+      std::vector<double> gathered = array_gather_all(b);
+      if (proc.id() == 0) ys_engine = std::move(gathered);
     });
   });
 
@@ -308,8 +311,9 @@ TEST_P(SkelRunEngines, FoldMatchesLibrarySkeleton) {
       auto a = array_create<long>(
           proc, 1, Size{n},
           [&](Index ix) { return xs[static_cast<std::size_t>(ix[0])]; });
-      engine_sum = array_fold([](long v, Index) { return v * v; },
-                              [](long x, long y) { return x + y; }, a);
+      const long sum = array_fold([](long v, Index) { return v * v; },
+                                  [](long x, long y) { return x + y; }, a);
+      if (proc.id() == 0) engine_sum = sum;
     });
   });
 
@@ -356,7 +360,8 @@ TEST_P(SkelRunEngines, GenMultMatchesLibrarySkeleton) {
       array_gen_mult(a, b,
                      [](long x, long y) { return x + y; },
                      [](long x, long y) { return x * y; }, c);
-      engine_c = array_gather_matrix(c);
+      support::Matrix<long> gathered = array_gather_matrix(c);
+      if (proc.id() == 0) engine_c = std::move(gathered);
     });
   });
 

@@ -97,7 +97,15 @@ TEST(Cli, ParsesEqualsAndSpaceForms) {
 
 TEST(Cli, RejectsUnknownFlags) {
   const char* argv[] = {"prog", "--bogus=1"};
-  EXPECT_THROW(Cli(2, const_cast<char**>(argv), {"n"}), ContractError);
+  EXPECT_EXIT(Cli(2, const_cast<char**>(argv), {"n"}),
+              ::testing::ExitedWithCode(2), "unknown command-line flag");
+}
+
+TEST(Cli, HelpPrintsUsageAndExits) {
+  const char* argv[] = {"prog", "--help"};
+  EXPECT_EXIT(Cli(2, const_cast<char**>(argv), {"n", "csv"}),
+              ::testing::ExitedWithCode(2),
+              "usage: prog \\[--n\\] \\[--csv\\]");
 }
 
 TEST(Cli, CollectsPositionalArguments) {

@@ -1,12 +1,11 @@
 // skil-prof: text dashboard for SKIL_PROF scheduler reports.
 //
-//   skil-prof [--top=N] metrics.json
+//   skil-prof metrics.json
 //
 // Reads a metrics JSON file written by parix::write_metrics_json for a
 // run with SKIL_PROF=counters or SKIL_PROF=sampled and renders the
 // host-scheduler dashboard: per-carrier utilization, steal success
-// rate, settlement coverage, buffer-pool hit rate, and the top-N
-// widest gang batches (--top, default 3).
+// rate, settlement coverage and buffer-pool hit rate.
 //
 // Exit status: 0 ok, 2 usage/input failure (missing file, metrics
 // without a scheduler object, malformed JSON).
@@ -21,18 +20,9 @@
 
 int main(int argc, char** argv) {
   std::string path;
-  int top_n = 3;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--top=", 0) == 0) {
-      try {
-        top_n = std::stoi(arg.substr(6));
-      } catch (...) {
-        std::cerr << "skil-prof: invalid --top value '" << arg.substr(6)
-                  << "'\n";
-        return 2;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
+    if (!arg.empty() && arg[0] == '-') {
       std::cerr << "skil-prof: unknown flag '" << arg << "'\n";
       return 2;
     } else if (path.empty()) {
@@ -42,8 +32,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (path.empty() || top_n < 1) {
-    std::cerr << "usage: skil-prof [--top=N] metrics.json\n";
+  if (path.empty()) {
+    std::cerr << "usage: skil-prof metrics.json\n";
     return 2;
   }
 
@@ -58,7 +48,7 @@ int main(int argc, char** argv) {
   try {
     const skil::support::json::Value metrics =
         skil::support::json::parse(buffer.str());
-    skil::parix::render_prof_report(metrics, std::cout, top_n);
+    skil::parix::render_prof_report(metrics, std::cout);
   } catch (const std::exception& err) {
     std::cerr << "skil-prof: " << path << ": " << err.what() << '\n';
     return 2;
