@@ -27,8 +27,11 @@
 // mode and are pinned by per-algorithm goldens.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string_view>
+#include <tuple>
 
 namespace skil::parix {
 
@@ -77,6 +80,41 @@ std::string_view coll_algo_name(CollAlgo algo);
 enum class CollOrder {
   kExact = 0,     ///< any bracketing yields identical bits
   kChainOnly,     ///< bracketing is part of the result; tree only
+};
+
+/// Which selection function a kAuto pick came from.  With the payload
+/// size it names everything a pick depends on besides the embedding.
+enum class CollSite {
+  kBroadcast = 0,     ///< unhinted broadcast (ring = chain walk)
+  kBroadcastChunked,  ///< hinted vector broadcast (ring = pipelined)
+  kAllgather,
+  kAllreduce,
+  kAllreduceElems,
+};
+
+/// Per-processor memo of SKIL_COLL=auto picks (collectives.h).  A pick
+/// is a pure function of the embedding, the cost model, the call site
+/// and the payload size.  A processor's machine and cost model are
+/// fixed, and (topology kind, communicator id) names the embedding
+/// exactly, so the O(p log p) estimators run once per key.  Owned by
+/// one Proc, which one fiber drives at a time, so it takes no lock.
+class CollPickMemo {
+ public:
+  /// (Topology::kind(), Topology::comm_id(), call site, payload bytes).
+  using Key = std::tuple<int, int, CollSite, std::size_t>;
+
+  /// The memoized pick for `key`; on a miss, `pick()` computes it.
+  template <class F>
+  CollAlgo get(const Key& key, F&& pick) {
+    if (const auto it = table_.find(key); it != table_.end()) return it->second;
+    return table_.emplace(key, pick()).first->second;
+  }
+
+  /// Number of memoized picks.
+  std::size_t size() const { return table_.size(); }
+
+ private:
+  std::map<Key, CollAlgo> table_;
 };
 
 /// Per-processor collective statistics, summed into RunResult::coll.

@@ -237,6 +237,17 @@ constexpr std::size_t wire_size_hint() {
 inline bool is_pow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
 
 // --- per-collective algorithm selection -----------------------------
+//
+// Forced modes answer directly.  kAuto picks go through the Proc's
+// CollPickMemo (coll.h): the argmin below runs once per (embedding,
+// call site, payload size) and every later call is one table lookup.
+
+template <class F>
+CollAlgo memo_pick(Proc& proc, const Topology& topo, CollSite site,
+                   std::size_t nbytes, F&& pick) {
+  return proc.coll_memo().get(
+      {static_cast<int>(topo.kind()), topo.comm_id(), site, nbytes}, pick);
+}
 
 template <class T>
 CollAlgo pick_allgather(Proc& proc, const Topology& topo) {
@@ -250,13 +261,15 @@ CollAlgo pick_allgather(Proc& proc, const Topology& topo) {
   }
   const std::size_t item = wire_size_hint<T>();
   if (item == 0) return CollAlgo::kTree;
-  const CostModel& cost = proc.cost();
-  const double tree = est_tree_allgather(topo, cost, item);
-  const double ring = est_ring_allgather(topo, cost, item);
-  const double rd = est_bruck_allgather(topo, cost, item);
-  if (rd <= tree && rd <= ring) return CollAlgo::kRecDouble;
-  if (ring <= tree) return CollAlgo::kRing;
-  return CollAlgo::kTree;
+  return memo_pick(proc, topo, CollSite::kAllgather, item, [&] {
+    const CostModel& cost = proc.cost();
+    const double tree = est_tree_allgather(topo, cost, item);
+    const double ring = est_ring_allgather(topo, cost, item);
+    const double rd = est_bruck_allgather(topo, cost, item);
+    if (rd <= tree && rd <= ring) return CollAlgo::kRecDouble;
+    if (ring <= tree) return CollAlgo::kRing;
+    return CollAlgo::kTree;
+  });
 }
 
 template <class T>
@@ -271,16 +284,18 @@ CollAlgo pick_allreduce(Proc& proc, const Topology& topo) {
   }
   const std::size_t item = wire_size_hint<T>();
   if (item == 0) return CollAlgo::kTree;
-  const CostModel& cost = proc.cost();
-  // Tree allreduce = reduce + broadcast, one payload per tree edge
-  // each way; the gathering algorithms pay their allgather plus a
-  // purely local fold (negligible next to message startup).
-  const double tree = 2.0 * est_tree_stages(topo, cost, item);
-  const double ring = est_ring_allgather(topo, cost, item);
-  const double rd = est_bruck_allgather(topo, cost, item);
-  if (rd <= tree && rd <= ring) return CollAlgo::kRecDouble;
-  if (ring <= tree) return CollAlgo::kRing;
-  return CollAlgo::kTree;
+  return memo_pick(proc, topo, CollSite::kAllreduce, item, [&] {
+    const CostModel& cost = proc.cost();
+    // Tree allreduce = reduce + broadcast, one payload per tree edge
+    // each way; the gathering algorithms pay their allgather plus a
+    // purely local fold (negligible next to message startup).
+    const double tree = 2.0 * est_tree_stages(topo, cost, item);
+    const double ring = est_ring_allgather(topo, cost, item);
+    const double rd = est_bruck_allgather(topo, cost, item);
+    if (rd <= tree && rd <= ring) return CollAlgo::kRecDouble;
+    if (ring <= tree) return CollAlgo::kRing;
+    return CollAlgo::kTree;
+  });
 }
 
 inline CollAlgo pick_broadcast(Proc& proc, const Topology& topo,
@@ -295,12 +310,16 @@ inline CollAlgo pick_broadcast(Proc& proc, const Topology& topo,
     case CollMode::kAuto: break;
   }
   if (nbytes_hint == 0) return CollAlgo::kTree;
-  const CostModel& cost = proc.cost();
-  const double tree = est_tree_stages(topo, cost, nbytes_hint);
-  const double ring = chunked
-                          ? est_ring_pipelined_bcast(topo, cost, nbytes_hint)
-                          : est_ring_chain_bcast(topo, cost, nbytes_hint);
-  return ring < tree ? CollAlgo::kRing : CollAlgo::kTree;
+  const CollSite site =
+      chunked ? CollSite::kBroadcastChunked : CollSite::kBroadcast;
+  return memo_pick(proc, topo, site, nbytes_hint, [&] {
+    const CostModel& cost = proc.cost();
+    const double tree = est_tree_stages(topo, cost, nbytes_hint);
+    const double ring =
+        chunked ? est_ring_pipelined_bcast(topo, cost, nbytes_hint)
+                : est_ring_chain_bcast(topo, cost, nbytes_hint);
+    return ring < tree ? CollAlgo::kRing : CollAlgo::kTree;
+  });
 }
 
 inline CollAlgo pick_allreduce_elems(Proc& proc, const Topology& topo,
@@ -323,16 +342,18 @@ inline CollAlgo pick_allreduce_elems(Proc& proc, const Topology& topo,
       return is_pow2(p) ? CollAlgo::kRabenseifner : CollAlgo::kTree;
     case CollMode::kAuto: break;
   }
-  const CostModel& cost = proc.cost();
-  const double tree = 2.0 * est_tree_stages(topo, cost, nbytes + 8);
-  const double ring = est_ring_elems(topo, cost, nbytes);
-  const double raben = is_pow2(p)
-                           ? est_rabenseifner_elems(topo, cost, nbytes)
-                           : tree + 1.0;
-  if (is_pow2(p) && raben <= tree && raben <= ring)
-    return CollAlgo::kRabenseifner;
-  if (ring <= tree) return CollAlgo::kRing;
-  return CollAlgo::kTree;
+  return memo_pick(proc, topo, CollSite::kAllreduceElems, nbytes, [&] {
+    const CostModel& cost = proc.cost();
+    const double tree = 2.0 * est_tree_stages(topo, cost, nbytes + 8);
+    const double ring = est_ring_elems(topo, cost, nbytes);
+    const double raben = is_pow2(p)
+                             ? est_rabenseifner_elems(topo, cost, nbytes)
+                             : tree + 1.0;
+    if (is_pow2(p) && raben <= tree && raben <= ring)
+      return CollAlgo::kRabenseifner;
+    if (ring <= tree) return CollAlgo::kRing;
+    return CollAlgo::kTree;
+  });
 }
 
 // --- algorithm implementations --------------------------------------

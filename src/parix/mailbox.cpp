@@ -18,34 +18,38 @@ struct CvWaiter final : Mailbox::Waiter {
 }  // namespace
 
 std::optional<Message> Mailbox::pop_match(int src, long tag) {
-  const auto it = buckets_.find(Key{src, tag});
-  if (it == buckets_.end()) return std::nullopt;
-  Message msg = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) buckets_.erase(it);
+  if (static_cast<std::size_t>(src) >= queues_.size() || !queues_[src])
+    return std::nullopt;
+  std::deque<Message>& queue = *queues_[src];
+  const auto it = std::find_if(queue.begin(), queue.end(),
+                               [tag](const Message& m) { return m.tag == tag; });
+  if (it == queue.end()) return std::nullopt;
+  Message msg = std::move(*it);
+  queue.erase(it);
   --pending_;
   return msg;
 }
 
 void Mailbox::put(Message msg) {
-  Waiter* to_wake = nullptr;
-  {
-    const std::scoped_lock lock(mutex_);
-    const Key key{msg.src, msg.tag};
-    buckets_[key].push_back(std::move(msg));
-    ++pending_;
-    const auto it = std::find_if(
-        waiters_.begin(), waiters_.end(),
-        [&](const Waiter* w) { return w->src == key.src && w->tag == key.tag; });
-    if (it != waiters_.end()) {
-      to_wake = *it;
-      if (to_wake->one_shot) waiters_.erase(it);
-      // Waking under the lock keeps the waiter alive: a CvWaiter lives
-      // on the stack of a get() that cannot resume until we unlock,
-      // and a fiber waiter is only retired by the executor after its
-      // fiber reruns take_or_wait, which also needs this lock.
-      to_wake->notify();
-    }
+  const std::scoped_lock lock(mutex_);
+  const int src = msg.src;
+  const long tag = msg.tag;
+  if (static_cast<std::size_t>(src) >= queues_.size())
+    queues_.resize(static_cast<std::size_t>(src) + 1);
+  if (!queues_[src]) queues_[src] = std::make_unique<std::deque<Message>>();
+  queues_[src]->push_back(std::move(msg));
+  ++pending_;
+  const auto it = std::find_if(
+      waiters_.begin(), waiters_.end(),
+      [&](const Waiter* w) { return w->src == src && w->tag == tag; });
+  if (it != waiters_.end()) {
+    Waiter* to_wake = *it;
+    if (to_wake->one_shot) waiters_.erase(it);
+    // Waking under the lock keeps the waiter alive: a CvWaiter lives
+    // on the stack of a get() that cannot resume until we unlock,
+    // and a fiber waiter is only retired by the executor after its
+    // fiber reruns take_or_wait, which also needs this lock.
+    to_wake->notify();
   }
 }
 

@@ -1,15 +1,27 @@
 // Per-processor mailbox with (source, tag) matched receive.
 //
-// Messages are bucketed by their (src, tag) key, so matching a receive
-// is one hash lookup instead of a linear scan of everything queued,
-// and FIFO order per (src, tag) pair is the bucket's queue order.
+// Messages queue per source: one FIFO per sending processor, in a
+// vector indexed by the source id.  A source's queue is allocated when
+// that source sends its first message and lives as long as the
+// mailbox, so steady-state traffic allocates nothing per message
+// beyond the queue's own chunked growth.  Matching a receive scans the
+// source's queue for the first message carrying the wanted tag, and
+// FIFO order per (src, tag) pair falls out of the queue order.  SPMD
+// programs receive from a source in the order it sent, so the match is
+// expected at the head; DESIGN.md section 7 gives the measured share.
+// A receive out of send order still works, at the cost of a linear
+// scan and a mid-queue erase under the lock.
 //
-// Receivers that find their bucket empty register a Waiter carrying
-// the key they wait for; put() notifies only the waiter whose key
-// matches the arriving message.  This kills the thundering-herd
-// wakeups the old single condition_variable caused during tree folds
-// and broadcasts on large processor counts.  Two waiter flavours plug
-// into the same list: the blocking get() below parks on a per-call
+// Keying queues by source rather than by (src, tag) matters because
+// collective tags are fresh on every call: a per-(src, tag) bucket
+// would be created and destroyed for nearly every message.
+//
+// Receivers that find no match register a Waiter carrying the key they
+// wait for; put() notifies only the waiter whose key matches the
+// arriving message.  This kills the thundering-herd wakeups the old
+// single condition_variable caused during tree folds and broadcasts on
+// large processor counts.  Two waiter flavours plug into the same
+// list: the blocking get() below parks on a per-call
 // condition_variable (the `threads` engine), and the pooled engine's
 // fibers park on the executor's scheduler (see parix/executor.h).
 //
@@ -20,11 +32,10 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "parix/message.h"
@@ -76,29 +87,14 @@ class Mailbox {
   std::size_t pending() const;
 
  private:
-  struct Key {
-    int src;
-    long tag;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      // splitmix-style mix of the two fields; tags are sparse (the
-      // collective tag space starts at 2^40) so mixing matters.
-      std::uint64_t x = static_cast<std::uint64_t>(k.tag) * 0x9E3779B97F4A7C15u;
-      x ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.src)) +
-           (x >> 29);
-      return static_cast<std::size_t>(x ^ (x >> 32));
-    }
-  };
-
-  /// Pops the front of the (src, tag) bucket, erasing emptied buckets
-  /// so monotonically growing tag spaces do not accumulate tombstones.
-  /// Requires the lock; returns nullopt when nothing matches.
+  /// Removes the first message from `src` carrying `tag`.  Requires
+  /// the lock; returns nullopt when nothing matches.
   std::optional<Message> pop_match(int src, long tag);
 
   mutable std::mutex mutex_;
-  std::unordered_map<Key, std::deque<Message>, KeyHash> buckets_;
+  /// queues_[src]: messages from `src` in arrival order; null until
+  /// `src` first sends.
+  std::vector<std::unique_ptr<std::deque<Message>>> queues_;
   std::vector<Waiter*> waiters_;
   std::size_t pending_ = 0;
   bool poisoned_ = false;

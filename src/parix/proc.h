@@ -280,6 +280,9 @@ class Proc {
   CollectiveCounters& coll_counters() { return coll_counters_; }
   const CollectiveCounters& coll_counters() const { return coll_counters_; }
 
+  /// Memo of this processor's SKIL_COLL=auto picks (parix/coll.h).
+  CollPickMemo& coll_memo() { return coll_memo_; }
+
   /// True when a fused taped variant may run: fusion is requested AND
   /// the taped charge path is active.  The fused loops replay fused
   /// tapes, so the interpretive oracle (SKIL_CHARGE=interp) always
@@ -382,6 +385,8 @@ class Proc {
   /// Collective statistics (parix/coll.h); never read by the cost
   /// model, so recording them cannot perturb virtual time.
   CollectiveCounters coll_counters_;
+  /// kAuto collective picks, memoized (parix/coll.h).
+  CollPickMemo coll_memo_;
   /// Per-proc trace recorder; nullptr (the default) keeps every trace
   /// hook down to one untaken branch so vtimes stay bit-identical.
   ProcTrace* trace_ = nullptr;

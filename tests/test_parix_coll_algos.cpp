@@ -14,12 +14,17 @@
 //   3. Sub-communicators: split_rows/split_cols renumber ranks, keep
 //      disjoint tag streams, and never cross-match concurrent row and
 //      column collectives.
+//   4. Selection memo: a memoized kAuto pick equals the argmin of the
+//      modeled costs, one table entry per (embedding, site, size).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "parix/collectives.h"
@@ -203,6 +208,157 @@ TEST(CollOrderContract, ChainOnlyForcesTreeAndCountsFallbacks) {
     else
       EXPECT_EQ(result, tree_result) << coll_mode_name(mode);
   }
+}
+
+// --- kAuto selection memo --------------------------------------------
+//
+// Direct argmins over the est_* estimators, written out independently
+// of pick_*: the memoized pick must equal them on the first call (the
+// miss that fills the table) and on every later call (the hits).
+
+CollAlgo direct_broadcast(const Topology& topo, const CostModel& cost,
+                          std::size_t n, bool chunked) {
+  using namespace coll_detail;
+  const double tree = est_tree_stages(topo, cost, n);
+  const double ring = chunked ? est_ring_pipelined_bcast(topo, cost, n)
+                              : est_ring_chain_bcast(topo, cost, n);
+  return ring < tree ? CollAlgo::kRing : CollAlgo::kTree;
+}
+
+CollAlgo direct_gathering(double tree, double ring, double rd) {
+  if (rd <= tree && rd <= ring) return CollAlgo::kRecDouble;
+  return ring <= tree ? CollAlgo::kRing : CollAlgo::kTree;
+}
+
+CollAlgo direct_allgather(const Topology& topo, const CostModel& cost,
+                          std::size_t item) {
+  using namespace coll_detail;
+  return direct_gathering(est_tree_allgather(topo, cost, item),
+                          est_ring_allgather(topo, cost, item),
+                          est_bruck_allgather(topo, cost, item));
+}
+
+CollAlgo direct_allreduce(const Topology& topo, const CostModel& cost,
+                          std::size_t item) {
+  using namespace coll_detail;
+  return direct_gathering(2.0 * est_tree_stages(topo, cost, item),
+                          est_ring_allgather(topo, cost, item),
+                          est_bruck_allgather(topo, cost, item));
+}
+
+CollAlgo direct_allreduce_elems(const Topology& topo, const CostModel& cost,
+                                std::size_t n) {
+  using namespace coll_detail;
+  const double tree = 2.0 * est_tree_stages(topo, cost, n + 8);
+  const double ring = est_ring_elems(topo, cost, n);
+  if (is_pow2(topo.nprocs())) {
+    const double raben = est_rabenseifner_elems(topo, cost, n);
+    if (raben <= tree && raben <= ring) return CollAlgo::kRabenseifner;
+  }
+  return ring <= tree ? CollAlgo::kRing : CollAlgo::kTree;
+}
+
+/// One selection call per site at `nbytes` (allgather and scalar
+/// allreduce take their size from the type), checked against the
+/// direct argmin.  `keys` collects the distinct (kind, comm, site,
+/// bytes) keys the calls should have memoized.
+template <std::size_t kItem>
+void check_picks(Proc& proc, const Topology& topo, std::size_t nbytes,
+                 std::set<std::tuple<int, int, int, std::size_t>>& keys) {
+  using Item = std::array<char, kItem>;
+  const CostModel& cost = proc.cost();
+  const auto key = [&](CollSite site, std::size_t bytes) {
+    keys.emplace(static_cast<int>(topo.kind()), topo.comm_id(),
+                 static_cast<int>(site), bytes);
+  };
+  const std::string where = std::string(distr_name(topo.kind())) +
+                            " comm " + std::to_string(topo.comm_id()) +
+                            " p " + std::to_string(topo.nprocs()) +
+                            " bytes " + std::to_string(nbytes);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(coll_detail::pick_broadcast(proc, topo, nbytes, false),
+              direct_broadcast(topo, cost, nbytes, false))
+        << where;
+    EXPECT_EQ(coll_detail::pick_broadcast(proc, topo, nbytes, true),
+              direct_broadcast(topo, cost, nbytes, true))
+        << where;
+    EXPECT_EQ(coll_detail::pick_allreduce_elems(proc, topo, nbytes,
+                                                CollOrder::kExact),
+              direct_allreduce_elems(topo, cost, nbytes))
+        << where;
+    EXPECT_EQ(coll_detail::pick_allgather<Item>(proc, topo),
+              direct_allgather(topo, cost, kItem))
+        << where;
+    EXPECT_EQ(coll_detail::pick_allreduce<Item>(proc, topo),
+              direct_allreduce(topo, cost, kItem))
+        << where;
+  }
+  key(CollSite::kBroadcast, nbytes);
+  key(CollSite::kBroadcastChunked, nbytes);
+  key(CollSite::kAllreduceElems, nbytes);
+  key(CollSite::kAllgather, kItem);
+  key(CollSite::kAllreduce, kItem);
+  EXPECT_EQ(proc.coll_memo().size(), keys.size()) << where;
+}
+
+TEST(CollPickMemo, AutoPicksEqualDirectArgminOnFullAndSplitTopologies) {
+  constexpr std::size_t kSizes[] = {8, 64, 512, 4096, 32768, 262144};
+  for (int p : {16, 32, 64}) {
+    Machine machine(p, CostModel::t800());
+    Proc proc(machine, 0);
+    proc.set_coll_mode(CollMode::kAuto);
+    std::set<std::tuple<int, int, int, std::size_t>> keys;
+    for (Distr distr : {Distr::kDefault, Distr::kRing, Distr::kTorus2D,
+                        Distr::kHypercube}) {
+      // The full topology plus every row and every column communicator.
+      // At p = 16 and 64 the grid is square, so row and column
+      // communicators have equal sizes and only the communicator id
+      // tells them apart: one table entry per distinct key (checked in
+      // check_picks) means no two of them share an entry.
+      const Topology full(machine, distr);
+      std::vector<Topology> topos{full};
+      for (int r = 0; r < full.grid_rows(); ++r)
+        topos.push_back(full.split_rows(full.at_grid(r, 0)));
+      for (int c = 0; c < full.grid_cols(); ++c)
+        topos.push_back(full.split_cols(full.at_grid(0, c)));
+      for (const Topology& topo : topos) {
+        for (std::size_t n : kSizes) check_picks<8>(proc, topo, n, keys);
+        check_picks<1>(proc, topo, 64, keys);
+        check_picks<512>(proc, topo, 64, keys);
+        check_picks<8192>(proc, topo, 64, keys);
+      }
+    }
+  }
+}
+
+TEST(CollPickMemo, ForcedModesAndChainOnlyCallsBypassTheTable) {
+  Machine machine(16, CostModel::t800());
+  Proc proc(machine, 0);
+  const Topology topo(machine, Distr::kDefault);
+  for (CollMode mode : {CollMode::kTree, CollMode::kRing, CollMode::kRd}) {
+    proc.set_coll_mode(mode);
+    coll_detail::pick_broadcast(proc, topo, 4096, true);
+    coll_detail::pick_allgather<double>(proc, topo);
+    coll_detail::pick_allreduce<double>(proc, topo);
+    coll_detail::pick_allreduce_elems(proc, topo, 4096, CollOrder::kExact);
+  }
+  EXPECT_EQ(proc.coll_memo().size(), 0u);
+
+  // Under kAuto, every chain-only call still counts its fallback: the
+  // counter ticks per call and never comes from a memoized answer.
+  proc.set_coll_mode(CollMode::kAuto);
+  const std::uint64_t before = proc.coll_counters().order_fallbacks;
+  for (int call = 1; call <= 5; ++call) {
+    EXPECT_EQ(coll_detail::pick_allreduce_elems(proc, topo, 32768,
+                                                CollOrder::kChainOnly),
+              CollAlgo::kTree);
+    EXPECT_EQ(proc.coll_counters().order_fallbacks,
+              before + static_cast<std::uint64_t>(call));
+  }
+  EXPECT_EQ(proc.coll_memo().size(), 0u);
+  // An exact-order call at the same size does enter the table.
+  coll_detail::pick_allreduce_elems(proc, topo, 32768, CollOrder::kExact);
+  EXPECT_EQ(proc.coll_memo().size(), 1u);
 }
 
 // --- counters --------------------------------------------------------

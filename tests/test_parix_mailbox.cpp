@@ -116,6 +116,89 @@ TEST(Mailbox, BlockedGetWakesWhenMessageArrives) {
   sender.join();
 }
 
+TEST(Mailbox, InterleavedTagsFromOneSourceStayFifoPerTag) {
+  // One source, two tags interleaved; the receiver drains tag 2 first,
+  // then tag 1.  Each tag must come out in its own send order.
+  Mailbox box;
+  for (int i = 0; i < 6; ++i) box.put(make_message<int>(3, 1 + i % 2, i, 0.0));
+  EXPECT_EQ(box.pending(), 6u);
+  for (int want : {1, 3, 5}) {
+    Message m = box.get(3, 2);
+    EXPECT_EQ(take_payload<int>(m), want);
+  }
+  EXPECT_EQ(box.pending(), 3u);
+  for (int want : {0, 2, 4}) {
+    Message m = box.get(3, 1);
+    EXPECT_EQ(take_payload<int>(m), want);
+  }
+  EXPECT_EQ(box.pending(), 0u);
+}
+
+TEST(Mailbox, DeepQueueWithOneOddTagDrainsInOrder) {
+  constexpr int kDepth = 10000;
+  constexpr int kOdd = kDepth / 2;
+  Mailbox box;
+  for (int i = 0; i < kDepth; ++i)
+    box.put(make_message<int>(1, i == kOdd ? 99 : 7, i, 0.0));
+  EXPECT_EQ(box.pending(), static_cast<std::size_t>(kDepth));
+  // The odd tag sits mid-queue; matching it must not disturb the rest.
+  Message odd = box.get(1, 99);
+  EXPECT_EQ(take_payload<int>(odd), kOdd);
+  EXPECT_EQ(box.pending(), static_cast<std::size_t>(kDepth - 1));
+  for (int i = 0; i < kDepth; ++i) {
+    if (i == kOdd) continue;
+    Message m = box.get(1, 7);
+    ASSERT_EQ(take_payload<int>(m), i);
+  }
+  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_THROW(box.get(1, 7, std::chrono::milliseconds(10)),
+               skil::support::RuntimeFault);
+}
+
+TEST(Mailbox, SourceAboveEveryIdSeenSoFar) {
+  Mailbox box;
+  box.put(make_message<int>(0, 5, 10, 0.0));
+  box.put(make_message<int>(2, 5, 12, 0.0));
+  // A receive from a source that has never sent, above every id seen,
+  // finds nothing and must not disturb the queued messages.
+  EXPECT_THROW(box.get(40, 5, std::chrono::milliseconds(10)),
+               skil::support::RuntimeFault);
+  EXPECT_EQ(box.pending(), 2u);
+  box.put(make_message<int>(63, 5, 73, 0.0));
+  EXPECT_EQ(box.pending(), 3u);
+  Message m = box.get(63, 5);
+  EXPECT_EQ(take_payload<int>(m), 73);
+  m = box.get(2, 5);
+  EXPECT_EQ(take_payload<int>(m), 12);
+  m = box.get(0, 5);
+  EXPECT_EQ(take_payload<int>(m), 10);
+  EXPECT_EQ(box.pending(), 0u);
+}
+
+TEST(Mailbox, PoisonWithMessagesStillQueued) {
+  struct CountingWaiter final : Mailbox::Waiter {
+    int notified = 0;
+    void notify() override { ++notified; }
+  };
+  Mailbox box;
+  box.put(make_message<int>(0, 1, 1, 0.0));
+  box.put(make_message<int>(4, 2, 2, 0.0));
+  CountingWaiter parked;
+  EXPECT_FALSE(box.take_or_wait(4, 3, parked).has_value());
+  box.poison("queued poison");
+  EXPECT_EQ(parked.notified, 1);
+  EXPECT_THROW(box.take_or_wait(4, 2, parked), skil::support::RuntimeFault);
+  // Poison wins over a matching queued message, and the queue is left
+  // as it was.
+  try {
+    box.get(0, 1, std::chrono::seconds(10));
+    FAIL() << "expected RuntimeFault";
+  } catch (const skil::support::RuntimeFault& e) {
+    EXPECT_NE(std::string(e.what()).find("queued poison"), std::string::npos);
+  }
+  EXPECT_EQ(box.pending(), 2u);
+}
+
 TEST(SelfSend, ProcessorCanMessageItself) {
   RunConfig config{2, CostModel::t800()};
   spmd_run(config, [](Proc& proc) {

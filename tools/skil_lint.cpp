@@ -12,8 +12,9 @@
 //                              its line in --help) automatically
 //
 // Exit status: 0 clean, 1 findings (errors, or warnings under
-// --Werror), 2 usage or I/O failure.  Nothing is compiled: the tool
-// stops after the analysis passes, so defective programs still lint.
+// --Werror), 2 usage (including --help and unknown flags) or I/O
+// failure.  Nothing is compiled: the tool stops after the analysis
+// passes, so defective programs still lint.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
     }
     if (arg == "--help") {
       usage(program);
-      return 0;
+      return 2;
     }
     if (arg == "--Werror") {
       werror = true;

@@ -7,8 +7,9 @@
 // host-scheduler dashboard: per-carrier utilization, steal success
 // rate, settlement coverage and buffer-pool hit rate.
 //
-// Exit status: 0 ok, 2 usage/input failure (missing file, metrics
-// without a scheduler object, malformed JSON).
+// Exit status: 0 ok, 2 usage (including --help and unknown flags) or
+// input failure (missing file, metrics without a scheduler object,
+// malformed JSON).
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -18,24 +19,32 @@
 #include "support/error.h"
 #include "support/json.h"
 
+namespace {
+
+int usage(const std::string& program) {
+  std::cerr << "usage: " << program << " metrics.json\n";
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  const std::string program = argc > 0 ? argv[0] : "skil-prof";
   std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--help") return usage(program);
     if (!arg.empty() && arg[0] == '-') {
       std::cerr << "skil-prof: unknown flag '" << arg << "'\n";
-      return 2;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      std::cerr << "skil-prof: more than one input file\n";
-      return 2;
+      return usage(program);
     }
+    if (!path.empty()) {
+      std::cerr << "skil-prof: more than one input file\n";
+      return usage(program);
+    }
+    path = arg;
   }
-  if (path.empty()) {
-    std::cerr << "usage: skil-prof metrics.json\n";
-    return 2;
-  }
+  if (path.empty()) return usage(program);
 
   std::ifstream in(path);
   if (!in) {
