@@ -1,6 +1,8 @@
 #include "apps/gauss.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "dpfl/dpfl.h"
@@ -28,6 +30,70 @@ double gauss_entry(int n, int n_eff, std::uint64_t seed, bool pivoting,
   const int jj = j == n_eff ? n : j;  // right-hand side column
   return pivoting ? pivoting_system_entry(n, seed, i, jj)
                   : linear_system_entry(n, seed, i, jj);
+}
+
+/// Copies an inactive stretch of a run.  In-place maps (in == out)
+/// already hold the values.
+void copy_inactive(const double* in, int count, double* out) {
+  if (in != out) std::copy(in, in + count, out);
+}
+
+// Row kernels of the taped pivot, eliminate and normalize maps, shared
+// by gauss_skil and gauss_dpfl (array_map_taped / fa_map_taped call
+// them once per RowRun).  Each is the interpretive body's per-element
+// test resolved once per run: inactive prefixes and rows are copied,
+// the row's factor is loaded once, and the active suffix is a straight
+// loop over the same expression as the interpretive body, so every
+// result bit is unchanged.  The return value is the run's number of
+// active elements, i.e. of tape replays.
+
+/// copy_pivot: the owner of pivot row k (krow != nullptr) writes the
+/// normalised row; every other processor keeps its values.
+auto pivot_row_kernel(const double* krow, int k) {
+  return [krow, k](int, int c0, int count, const double* in,
+                   double* out) -> std::uint64_t {
+    if (krow == nullptr) {
+      copy_inactive(in, count, out);
+      return 0;
+    }
+    const double pivot = krow[k];
+    for (int c = 0; c < count; ++c) out[c] = krow[c0 + c] / pivot;
+    return static_cast<std::uint64_t>(count);
+  };
+}
+
+/// eliminate: rows other than k, columns >= k, subtract the row's
+/// column-k factor (read from the source partition `src`, whose first
+/// row is row0) times the broadcast pivot row `prow` (col0 = 0).
+auto eliminate_row_kernel(const double* src, int row0, int width,
+                          const double* prow, int k) {
+  return [src, row0, width, prow, k](int row, int c0, int count,
+                                     const double* in,
+                                     double* out) -> std::uint64_t {
+    const int lead = row == k ? count : std::clamp(k - c0, 0, count);
+    copy_inactive(in, lead, out);
+    if (lead == count) return 0;
+    const double factor =
+        src[static_cast<std::size_t>(row - row0) * width + k];
+    for (int c = lead; c < count; ++c)
+      out[c] = in[c] - factor * prow[c0 + c];
+    return static_cast<std::uint64_t>(count - lead);
+  };
+}
+
+/// normalize: divide the right-hand-side column `last_col` by the
+/// row's diagonal element (read from `src`, first row row0).
+auto normalize_row_kernel(const double* src, int row0, int width,
+                          int last_col) {
+  return [src, row0, width, last_col](int row, int c0, int count,
+                                      const double* in,
+                                      double* out) -> std::uint64_t {
+    copy_inactive(in, count, out);
+    const int j = last_col - c0;
+    if (j < 0 || j >= count) return 0;
+    out[j] = in[j] / src[static_cast<std::size_t>(row - row0) * width + row];
+    return 1;
+  };
 }
 
 }  // namespace
@@ -201,13 +267,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
                         static_cast<std::size_t>(k - bb.lower[0]) *
                             bb.extent(1)
                   : nullptr;
-        array_map_taped(
-            [owner, krow, k](double v, Index ix, std::uint64_t& tapped) {
-              if (!owner) return v;
-              ++tapped;
-              return krow[ix[1]] / krow[k];
-            },
-            pivot_tape, piv, piv);
+        array_map_taped(pivot_row_kernel(krow, k), pivot_tape, piv, piv);
       } else {
         array_map(partial(copy_pivot, std::cref(b), k), piv, piv);
       }
@@ -243,15 +303,8 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
         const int bw = bb.extent(1);
         const double* bd = b.local().data();
         const double* prow = piv.local().data();  // one row, col0 = 0
-        array_map_taped(
-            [bd, prow, brow0, bw, k](double v, Index ix,
-                                     std::uint64_t& tapped) {
-              if (ix[0] == k || ix[1] < k) return v;
-              ++tapped;
-              return v - bd[static_cast<std::size_t>(ix[0] - brow0) * bw + k] *
-                             prow[ix[1]];
-            },
-            elim_tape, b, a);
+        array_map_taped(eliminate_row_kernel(bd, brow0, bw, prow, k),
+                        elim_tape, b, a);
       } else {
         array_map(partial(eliminate, k, std::cref(b), std::cref(piv)), b, a);
       }
@@ -282,14 +335,8 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
       const int arow0 = ab.lower[0];
       const int aw = ab.extent(1);
       const double* ad = a.local().data();
-      array_map_taped(
-          [ad, arow0, aw, size](double v, Index ix, std::uint64_t& tapped) {
-            if (ix[1] != size) return v;
-            ++tapped;
-            return v / ad[static_cast<std::size_t>(ix[0] - arow0) * aw +
-                          ix[0]];
-          },
-          norm_tape, a, b);
+      array_map_taped(normalize_row_kernel(ad, arow0, aw, size), norm_tape,
+                      a, b);
     } else {
       array_map(partial(normalize, std::cref(a), size), a, b);
     }
@@ -419,13 +466,8 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
                         static_cast<std::size_t>(k - ab.lower[0]) *
                             ab.extent(1)
                   : nullptr;
-        piv = dpfl::fa_map_taped(
-            [owner, krow, k](double v, Index ix, std::uint64_t& tapped) {
-              if (!owner) return v;
-              ++tapped;
-              return krow[ix[1]] / krow[k];
-            },
-            pivot_tape, piv);
+        piv = dpfl::fa_map_taped<double>(pivot_row_kernel(krow, k),
+                                         pivot_tape, piv);
       } else {
         const Closure<double(double, Index)> copy_pivot(
             proc, [&a, k, &proc](double v, Index ix) {
@@ -481,15 +523,8 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         const int sw = sb.extent(1);
         const double* sd = source.local().data();
         const double* prow = pivot_rows.local().data();  // one row
-        a = dpfl::fa_map_taped(
-            [sd, prow, srow0, sw, k](double v, Index ix,
-                                     std::uint64_t& tapped) {
-              if (ix[0] == k || ix[1] < k) return v;
-              ++tapped;
-              return v - sd[static_cast<std::size_t>(ix[0] - srow0) * sw + k] *
-                             prow[ix[1]];
-            },
-            elim_tape, a);
+        a = dpfl::fa_map_taped<double>(
+            eliminate_row_kernel(sd, srow0, sw, prow, k), elim_tape, a);
       } else {
         const Closure<double(double, Index)> eliminate(
             proc, [source, pivot_rows, k, &proc](double v, Index ix) {
@@ -535,14 +570,8 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
       const int frow0 = fb.lower[0];
       const int fw = fb.extent(1);
       const double* fd = final_a.local().data();
-      a = dpfl::fa_map_taped(
-          [fd, frow0, fw, size](double v, Index ix, std::uint64_t& tapped) {
-            if (ix[1] != size) return v;
-            ++tapped;
-            return v / fd[static_cast<std::size_t>(ix[0] - frow0) * fw +
-                          ix[0]];
-          },
-          norm_tape, a);
+      a = dpfl::fa_map_taped<double>(
+          normalize_row_kernel(fd, frow0, fw, size), norm_tape, a);
     } else {
       const FArray<double> final_a = a;
       const Closure<double(double, Index)> normalize(

@@ -129,23 +129,10 @@ class FArray {
     return (*local_)[dist_->local_offset(my_vrank_, ix)];
   }
 
-  /// The raw read of get_elem with no charges: tape-specialized loops
-  /// read through this and account through a replayed tape that
-  /// append_get_elem_charges contributed to.
-  T get_elem_uncharged(const Index& ix) const {
-    if (block_ && bounds_.contains(ix, dims_)) [[likely]] {
-      const int col = dims_ >= 2 ? ix[1] : 0;
-      return data_[static_cast<std::size_t>(
-          static_cast<long>(ix[0] - row0_) * width_ + (col - col0_))];
-    }
-    SKIL_REQUIRE(dist_->owner_vrank(ix) == my_vrank_,
-                 "fa_get_elem: element is not local");
-    return (*local_)[dist_->local_offset(my_vrank_, ix)];
-  }
-
   /// Appends the exact charge sequence of one get_elem to `sink`
   /// (the single source of truth: the interpretive path charges
-  /// through this with sink = Proc).
+  /// through this with sink = Proc, and charge tapes record it with
+  /// sink = ChargeTape).
   template <class Sink>
   static void append_get_elem_charges(Sink& sink) {
     sink.charge(op_kind<T>());
@@ -242,41 +229,41 @@ FArray<T2> fa_map(const Closure<T2(T1, Index)>& map_f, const FArray<T1>& a) {
   return FArray<T2>(proc, a.dist_ptr(), std::move(fresh));
 }
 
-/// Tape-specialized fa_map.  `map_f` is a plain (inlinable) functor
-/// `T2(const T1&, Index, std::uint64_t& tapped)` that performs raw
-/// reads (get_elem_uncharged) and bumps `tapped` once per element
-/// whose interpretive body would have charged `tape`'s sequence; the
-/// loop then replays the tape `tapped` times before booking the same
-/// bulk tail charges as fa_map.  Chain-identical to fa_map with a
-/// closure whose active elements all charge `tape`'s sequence
-/// (DESIGN.md section 8).
+/// Tape-specialized fa_map over row kernels.  `row_f` is a plain
+/// (inlinable) functor `std::uint64_t(int row, int col_begin,
+/// int count, const T1* in, T2* out)` called once per local RowRun: it
+/// writes all `count` cells of the run into the fresh partition and
+/// returns how many of them ran the body whose interpretive form
+/// charges `tape`'s sequence.  The skeleton replays the tape that many
+/// times in total before booking the same bulk tail charges as fa_map.
+/// Chain-identical to fa_map with a closure whose active elements all
+/// charge `tape`'s sequence (DESIGN.md section 8).
 ///
 /// As with array_map_taped, hoist the tape out of repeated-map loops:
 /// its stable identity keys the cross-replay settlement memo
 /// (DESIGN.md section 12), turning every replay after the first into
 /// a cached closed-form walk.  gauss_dpfl's elimination tapes are the
 /// canonical example -- built once, replayed every step.
-template <class T1, class MapF>
-auto fa_map_taped(MapF&& map_f, const parix::ChargeTape& tape,
-                  const FArray<T1>& a) {
-  using T2 = std::remove_cvref_t<
-      std::invoke_result_t<MapF&, const T1&, Index, std::uint64_t&>>;
+template <class T2, class T1, class RowF>
+FArray<T2> fa_map_taped(RowF&& row_f, const parix::ChargeTape& tape,
+                        const FArray<T1>& a) {
   SKIL_REQUIRE(a.valid(), "fa_map: invalid array");
   parix::Proc& proc = a.proc();
   const parix::TraceSpan span(proc, "fa_map");
-  const auto& src = a.local();
-  std::vector<T2> fresh;
-  fresh.reserve(src.size());
-  std::size_t offset = 0;
+  const T1* in = a.local().data();
+  // Pre-sized, unlike fa_map's reserve + push_back: kernels write
+  // whole runs through a raw pointer, and one bulk zero-fill costs
+  // less than a capacity check per element.
+  std::vector<T2> fresh(a.local().size());
+  T2* out = fresh.data();
   std::uint64_t elems = 0;
   std::uint64_t tapped = 0;
-  for (const RowRun& run : a.my_runs())
-    for (int c = 0; c < run.col_count; ++c) {
-      fresh.push_back(
-          map_f(src[offset], Index{run.row, run.col_begin + c}, tapped));
-      ++offset;
-      ++elems;
-    }
+  for (const RowRun& run : a.my_runs()) {
+    tapped += row_f(run.row, run.col_begin, run.col_count, in, out);
+    in += run.col_count;
+    out += run.col_count;
+    elems += static_cast<std::uint64_t>(run.col_count);
+  }
   proc.replay(tape, tapped);
   // Tail charges ride the deferred ledger too: booking them eagerly
   // would settle the just-deferred replay on the spot instead of at

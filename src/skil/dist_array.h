@@ -95,16 +95,6 @@ class DistArray {
     return local_[dist_->local_offset(my_vrank_, ix)];
   }
 
-  /// The raw read of get_elem with no element-operation charge:
-  /// tape-specialized skeleton loops (array_map_taped) read through
-  /// this and account through a replayed charge tape instead.
-  T get_elem_uncharged(const Index& ix) const {
-    if (block_ && bounds_.contains(ix, dims_)) [[likely]]
-      return local_[local_offset_fast(ix)];
-    check_local(ix);
-    return local_[dist_->local_offset(my_vrank_, ix)];
-  }
-
   /// The paper's array_put_elem macro: overwrites a *local* element.
   void put_elem(const Index& ix, T value) {
     if (block_ && bounds_.contains(ix, dims_)) [[likely]] {

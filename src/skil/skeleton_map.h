@@ -81,14 +81,18 @@ void array_map(F map_f, const DistArray<T1>& from, DistArray<T2>& to) {
   detail::array_map_charge_tail<T2>(from.proc(), elems);
 }
 
-/// Tape-specialized array_map.  `map_f` is a plain functor
-/// `T2(const T1&, Index, std::uint64_t& tapped)` performing raw reads
-/// (get_elem_uncharged) and bumping `tapped` once per element whose
-/// interpretive body would have charged `tape`'s sequence; the loop
-/// replays the tape `tapped` times, then books the same bulk tail
-/// charges as array_map.  Chain-identical to array_map with a functor
-/// whose active elements all charge `tape`'s sequence (DESIGN.md
-/// section 8).
+/// Tape-specialized array_map over row kernels.  `row_f` is a plain
+/// functor `std::uint64_t(int row, int col_begin, int count,
+/// const T1* in, T2* out)` called once per local RowRun: it writes all
+/// `count` outputs of the run (global columns col_begin ..
+/// col_begin + count - 1 of `row`) and returns how many of them ran
+/// the body whose interpretive form charges `tape`'s sequence.  The
+/// skeleton replays the tape that many times in total, then books the
+/// same bulk tail charges as array_map.  Chain-identical to array_map
+/// with a functor whose active elements all charge `tape`'s sequence
+/// (DESIGN.md section 8).  `from` and `to` may be the same array
+/// (then `in == out`, and a kernel leaves inactive elements as they
+/// are instead of copying them onto themselves).
 ///
 /// Callers should hoist the tape out of any loop that maps repeatedly
 /// with the same charge sequence: a tape's identity (ChargeTape::id)
@@ -96,25 +100,23 @@ void array_map(F map_f, const DistArray<T1>& from, DistArray<T2>& to) {
 /// tape lets every replay after the first settle as a cached
 /// closed-form walk, while rebuilding it per call is memo-cold
 /// (bit-identical either way).
-template <class F, class T1, class T2>
-void array_map_taped(F map_f, const parix::ChargeTape& tape,
+template <class RowF, class T1, class T2>
+void array_map_taped(RowF row_f, const parix::ChargeTape& tape,
                      const DistArray<T1>& from, DistArray<T2>& to) {
   SKIL_REQUIRE(from.valid() && to.valid(), "array_map: invalid array");
   SKIL_REQUIRE(from.dist().same_placement(to.dist()),
                "array_map: source and target must share one distribution");
   const parix::TraceSpan span(from.proc(), "array_map");
-  const auto& src = from.local();
-  auto& dst = to.local();
-  std::size_t offset = 0;
+  const T1* in = from.local().data();
+  T2* out = to.local().data();
   std::uint64_t elems = 0;
   std::uint64_t tapped = 0;
-  for (const RowRun& run : from.my_runs())
-    for (int c = 0; c < run.col_count; ++c) {
-      dst[offset] =
-          map_f(src[offset], Index{run.row, run.col_begin + c}, tapped);
-      ++offset;
-      ++elems;
-    }
+  for (const RowRun& run : from.my_runs()) {
+    tapped += row_f(run.row, run.col_begin, run.col_count, in, out);
+    in += run.col_count;
+    out += run.col_count;
+    elems += static_cast<std::uint64_t>(run.col_count);
+  }
   from.proc().replay(tape, tapped);
   parix::DeferredCharges deferred(from.proc());
   detail::array_map_charge_tail<T2>(deferred, elems);

@@ -1,7 +1,12 @@
 // Integration tests for the Gaussian elimination implementations.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "apps/gauss.h"
+#include "parix_golden_cases.h"
 #include "support/matrix.h"
 
 namespace {
@@ -61,6 +66,35 @@ TEST_P(Gauss, HandWrittenCMatchesOracle) {
   const auto oracle =
       support::seq_gauss_nopivot(support::random_linear_system(n, 19));
   EXPECT_LT(support::max_abs_diff(first_n(result.x, n), oracle), 1e-8);
+}
+
+TEST_P(Gauss, SolutionsBitIdenticalAcrossChargePaths) {
+  // The taped row kernels must reproduce the interpretive bodies'
+  // solutions bit for bit, not only their charges.  Fusion stays off
+  // so the taped maps themselves run.
+  const auto [p, n] = GetParam();
+  const auto solve = [&](parix::ChargePath path) {
+    return skil::testing::with_fuse_mode(parix::FuseMode::kOff, [&] {
+      return skil::testing::with_charge_path(path, [&] {
+        return std::vector<std::vector<double>>{
+            gauss_skil(p, n, 29, /*pivoting=*/false).x,
+            gauss_skil(p, n, 31, /*pivoting=*/true).x,
+            gauss_dpfl(p, n, 37).x};
+      });
+    });
+  };
+  const auto interp = solve(parix::ChargePath::kInterp);
+  const auto tape = solve(parix::ChargePath::kTape);
+  const char* names[] = {"skil", "skil pivot", "dpfl"};
+  for (std::size_t v = 0; v < interp.size(); ++v) {
+    SCOPED_TRACE(names[v]);
+    ASSERT_EQ(interp[v].size(), tape[v].size());
+    ASSERT_FALSE(interp[v].empty());
+    for (std::size_t i = 0; i < interp[v].size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(interp[v][i]),
+                std::bit_cast<std::uint64_t>(tape[v][i]))
+          << "x[" << i << "]";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, Gauss,

@@ -24,7 +24,8 @@
 // (section 12).  The shapes deliberately mix ragged small grids (empty
 // partitions, odd remainders) with partitions large enough for long
 // replay records, and the settlement counters assert that every path
-// really ran.
+// really ran.  Every taped step is active on a row- and column-
+// dependent subset of the elements only (step_active).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -103,10 +104,38 @@ ProgramSpec make_program(std::uint64_t seed) {
   return prog;
 }
 
+/// Whether a taped step's body runs (and charges its tape) on element
+/// (row, col).  The subset depends on row, column and step, so a
+/// taped skeleton replays its tape fewer times than it has elements
+/// and a row kernel sees runs whose active columns start mid-run.
+bool step_active(const StepSpec& step, int row, int col) {
+  const int m = static_cast<int>(step.tape.size()) + 1;  // 2..6
+  return col >= row % m && (row + col) % m != 1;
+}
+
+/// A taped step's row kernel: `body` on the active elements of the
+/// run, the input passed through elsewhere.
+template <class Body>
+auto partial_row_kernel(const StepSpec& step, Body body) {
+  return [&step, body](int row, int c0, int count, const double* in,
+                       double* out) -> std::uint64_t {
+    std::uint64_t tapped = 0;
+    for (int c = 0; c < count; ++c) {
+      if (step_active(step, row, c0 + c)) {
+        out[c] = body(in[c], Index{row, c0 + c});
+        ++tapped;
+      } else {
+        out[c] = in[c];
+      }
+    }
+    return tapped;
+  };
+}
+
 /// Executes the program.  `taped` selects the tape-specialized
 /// skeleton variants (deferred ledger and its settlement); the
 /// interpretive variants charge the identical sequences eagerly
-/// per element.
+/// per active element.
 parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
   parix::RunConfig config{prog.p, parix::CostModel::t800()};
   return parix::spmd_run(config, [&](parix::Proc& proc) {
@@ -118,6 +147,13 @@ parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
       for (const TapeEntrySpec& e : t) tape.charge(e.kind, e.count);
       return tape;
     };
+    const auto skil_body = [](double v, Index ix) {
+      return v * 0.5 + 0.0625 * ix[0] - 0.03125 * ix[1];
+    };
+    const auto dpfl_body = [](double v, Index ix) {
+      return v * 0.5 + 0.015625 * ix[1];
+    };
+    const auto fold_conv = [](double v, Index ix) { return v + 0.25 * ix[0]; };
 
     const Size shape{prog.rows, prog.cols};
     auto a = array_create<double>(
@@ -137,22 +173,13 @@ parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
           // its cross-replay cache hit/miss interleavings.
           if (taped) {
             const parix::ChargeTape tape = build_tape(step.tape);
-            array_map_taped(
-                [](const double& v, Index ix, std::uint64_t& tapped) {
-                  ++tapped;
-                  return v * 0.5 + 0.0625 * ix[0] - 0.03125 * ix[1];
-                },
-                tape, a, b);
-            array_map_taped(
-                [](const double& v, Index ix, std::uint64_t& tapped) {
-                  ++tapped;
-                  return v * 0.5 + 0.0625 * ix[0] - 0.03125 * ix[1];
-                },
-                tape, b, a);
+            array_map_taped(partial_row_kernel(step, skil_body), tape, a, b);
+            array_map_taped(partial_row_kernel(step, skil_body), tape, b, a);
           } else {
             const auto map_fn = [&](const double& v, Index ix) {
+              if (!step_active(step, ix[0], ix[1])) return v;
               charge_eager(step.tape);
-              return v * 0.5 + 0.0625 * ix[0] - 0.03125 * ix[1];
+              return skil_body(v, ix);
             };
             array_map(map_fn, a, b);
             array_map(map_fn, b, a);
@@ -177,17 +204,14 @@ parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
             // allocates when it constructs map_f.
             proc.charge(parix::Op::kAlloc);
             const parix::ChargeTape tape = build_tape(step.tape);
-            f = dpfl::fa_map_taped(
-                [](const double& v, Index ix, std::uint64_t& tapped) {
-                  ++tapped;
-                  return v * 0.5 + 0.015625 * ix[1];
-                },
-                tape, f);
+            f = dpfl::fa_map_taped<double>(
+                partial_row_kernel(step, dpfl_body), tape, f);
           } else {
             const dpfl::Closure<double(double, Index)> map_f(
                 proc, [&](double v, Index ix) {
+                  if (!step_active(step, ix[0], ix[1])) return v;
                   charge_eager(step.tape);
-                  return v * 0.5 + 0.015625 * ix[1];
+                  return dpfl_body(v, ix);
                 });
             f = dpfl::fa_map(map_f, f);
           }
@@ -200,16 +224,19 @@ parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
             proc.charge(parix::Op::kAlloc);
             const parix::ChargeTape tape = build_tape(step.tape);
             (void)dpfl::fa_fold_taped(
-                [](const double& v, Index ix, std::uint64_t& tapped) {
+                [&step, fold_conv](const double& v, Index ix,
+                                   std::uint64_t& tapped) {
+                  if (!step_active(step, ix[0], ix[1])) return v;
                   ++tapped;
-                  return v + 0.25 * ix[0];
+                  return fold_conv(v, ix);
                 },
                 [](double x, double y) { return x + y; }, tape, f);
           } else {
             const dpfl::Closure<double(double, Index)> conv(
                 proc, [&](double v, Index ix) {
+                  if (!step_active(step, ix[0], ix[1])) return v;
                   charge_eager(step.tape);
-                  return v + 0.25 * ix[0];
+                  return fold_conv(v, ix);
                 });
             const dpfl::Closure<double(double, double)> fold(
                 proc, [](double x, double y) { return x + y; });

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
+#include "parix/charge_tape.h"
 #include "parix/runtime.h"
 #include "skil/skil.h"
 #include "support/error.h"
@@ -156,6 +160,148 @@ TEST(Map, MismatchedDistributionsAreRejected) {
                  skil::support::ContractError);
   });
 }
+
+// Row-kernel contract of array_map_taped: a kernel active only on
+// columns >= kActiveCol, run against array_map with a functor that
+// charges the tape's sequence on exactly those elements, must give
+// bit-identical results, per-processor virtual times and Stats.
+
+constexpr int kActiveCol = 3;
+
+double partial_body(double v, int row, int col) {
+  return v * 1.5 - 0.25 * row + 0.125 * col;
+}
+
+/// The tape's sequence, charged into `sink` (a ChargeTape or a Proc).
+template <class Sink>
+void charge_partial_body(Sink& sink) {
+  sink.charge(parix::Op::kFloatOp, 2);
+  sink.charge(parix::Op::kCall);
+}
+
+enum class RowKernelShape { kColumnBlocks, kCyclic, kEmptyPartitions };
+
+struct RowKernelCase {
+  RowKernelShape shape;
+  bool in_place;  // from == to
+};
+
+struct RowKernelRun {
+  parix::RunResult run;
+  std::vector<double> result;
+  bool saw_col_begin = false;  // some run starts past column 0
+  bool saw_empty = false;      // some partition holds no element
+};
+
+RowKernelRun run_partial_map(const RowKernelCase& c, bool taped) {
+  int p = 4;
+  Size size{8, 10};
+  if (c.shape == RowKernelShape::kCyclic) {
+    p = 3;
+    size = Size{10, 7};
+  } else if (c.shape == RowKernelShape::kEmptyPartitions) {
+    p = 8;
+    size = Size{3, 6};
+  }
+  RowKernelRun out;
+  std::vector<char> col_begin(p, 0), empty(p, 0);
+  RunConfig config{p, CostModel::t800()};
+  out.run = parix::spmd_run(config, [&](Proc& proc) {
+    const auto make = [&](auto init) {
+      if (c.shape == RowKernelShape::kCyclic)
+        return array_create_cyclic<double>(proc, 2, size, init);
+      return array_create<double>(proc, 2, size, init,
+                                  c.shape == RowKernelShape::kColumnBlocks
+                                      ? Distr::kTorus2D
+                                      : Distr::kDefault);
+    };
+    auto a = make([](Index ix) { return 1.0 + 0.5 * ix[0] - 0.25 * ix[1]; });
+    auto b = make([](Index) { return -1.0; });
+    DistArray<double>& to = c.in_place ? a : b;
+    for (const RowRun& run : a.my_runs())
+      if (run.col_begin > 0) col_begin[proc.id()] = 1;
+    empty[proc.id()] = a.my_runs().empty() ? 1 : 0;
+    if (taped) {
+      parix::ChargeTape tape;
+      charge_partial_body(tape);
+      array_map_taped(
+          [](int row, int c0, int count, const double* in,
+             double* dst) -> std::uint64_t {
+            const int lead = std::clamp(kActiveCol - c0, 0, count);
+            if (in != dst) std::copy(in, in + lead, dst);
+            for (int col = lead; col < count; ++col)
+              dst[col] = partial_body(in[col], row, c0 + col);
+            return static_cast<std::uint64_t>(count - lead);
+          },
+          tape, a, to);
+    } else {
+      array_map(
+          [&proc](double v, Index ix) {
+            if (ix[1] < kActiveCol) return v;
+            charge_partial_body(proc);
+            return partial_body(v, ix[0], ix[1]);
+          },
+          a, to);
+    }
+    std::vector<double> global = array_gather_all(to);
+    if (proc.id() == 0) out.result = std::move(global);
+  });
+  out.saw_col_begin = std::ranges::count(col_begin, 1) > 0;
+  out.saw_empty = std::ranges::count(empty, 1) > 0;
+  return out;
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> bits;
+  for (double x : xs) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+const char* shape_name(RowKernelShape shape) {
+  switch (shape) {
+    case RowKernelShape::kColumnBlocks: return "ColumnBlocks";
+    case RowKernelShape::kCyclic: return "Cyclic";
+    case RowKernelShape::kEmptyPartitions: return "EmptyPartitions";
+  }
+  return "?";
+}
+
+class RowKernel : public ::testing::TestWithParam<RowKernelCase> {};
+
+TEST_P(RowKernel, PartiallyActiveKernelMatchesArrayMap) {
+  const RowKernelCase c = GetParam();
+  const RowKernelRun interp = run_partial_map(c, /*taped=*/false);
+  const RowKernelRun taped = run_partial_map(c, /*taped=*/true);
+  // The shape really exercises what it is named for.
+  if (c.shape == RowKernelShape::kColumnBlocks) {
+    EXPECT_TRUE(taped.saw_col_begin);
+  }
+  if (c.shape == RowKernelShape::kEmptyPartitions) {
+    EXPECT_TRUE(taped.saw_empty);
+  }
+  ASSERT_FALSE(interp.result.empty());
+  EXPECT_EQ(bit_patterns(interp.result), bit_patterns(taped.result));
+  ASSERT_EQ(interp.run.proc_vtimes.size(), taped.run.proc_vtimes.size());
+  for (std::size_t pid = 0; pid < interp.run.proc_vtimes.size(); ++pid) {
+    SCOPED_TRACE(::testing::Message() << "proc " << pid);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(interp.run.proc_vtimes[pid]),
+              std::bit_cast<std::uint64_t>(taped.run.proc_vtimes[pid]));
+    EXPECT_EQ(interp.run.proc_stats[pid], taped.run.proc_stats[pid]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RowKernel,
+    ::testing::Values(RowKernelCase{RowKernelShape::kColumnBlocks, false},
+                      RowKernelCase{RowKernelShape::kColumnBlocks, true},
+                      RowKernelCase{RowKernelShape::kCyclic, false},
+                      RowKernelCase{RowKernelShape::kCyclic, true},
+                      RowKernelCase{RowKernelShape::kEmptyPartitions, false},
+                      RowKernelCase{RowKernelShape::kEmptyPartitions, true}),
+    [](const auto& info) {
+      return std::string(shape_name(info.param.shape)) +
+             (info.param.in_place ? "_InPlace" : "");
+    });
 
 TEST(Fold, EmptyPartitionsAreHandled) {
   // 3 elements on 4 processors: one partition is empty, the fold must
