@@ -127,6 +127,7 @@
 #include "parix/trace.h"
 #include "support/cli.h"
 #include "support/error.h"
+#include "support/fields.h"
 
 int main(int argc, char** argv) {
   using namespace skil;
@@ -138,16 +139,15 @@ int main(int argc, char** argv) {
                           "charge", "settle", "fuse", "prof", "coll",
                           "engine", "trace-out"});
   const bool quick = cli.get_bool("quick");
-  const double baseline_s = std::atof(cli.get("baseline", "0").c_str());
+  const double baseline_s = cli.get_double("baseline", 0.0);
   const std::string baseline_note = cli.get("baseline-note", "unspecified");
   // The host timer is noisy (shared machine); the minimum over reps is
   // the standard robust estimator of the undisturbed wall time.
-  const int reps = std::max(1, std::atoi(cli.get("reps", "1").c_str()));
-  const std::string jobs_arg = cli.get("jobs", "1");
+  const int reps = std::max(1, cli.get_int("reps", 1));
   const int jobs =
-      jobs_arg == "auto"
+      cli.get("jobs", "1") == "auto"
           ? static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))
-          : std::max(1, std::atoi(jobs_arg.c_str()));
+          : std::max(1, cli.get_int("jobs", 1));
   // The knob parsers raise ContractError naming the accepted values;
   // a bad value is a usage error, not a crash.
   int carriers = 0;
@@ -249,8 +249,8 @@ int main(int argc, char** argv) {
       auto cells = run_gauss_grid_jobs(ns, ps, seed, jobs);
       const auto stop = std::chrono::steady_clock::now();
       const double wall = std::chrono::duration<double>(stop - start).count();
-      const SweepSettleTotals totals = sum_settle_totals(cells);
-      if (totals.total_adds() > 0)
+      const GaussCell totals = sum_counters(cells);
+      if (totals.settle.total_adds() > 0)
         std::fprintf(
             stderr,
             "  settle: %llu M adds closed (%llu M memoized, %llu M "
@@ -265,8 +265,9 @@ int main(int argc, char** argv) {
                                             1000000),
             static_cast<unsigned long long>(totals.settle.chain_adds /
                                             1000000),
-            static_cast<unsigned long long>(totals.inline_adds / 1000000),
-            100.0 * totals.closed_coverage());
+            static_cast<unsigned long long>(totals.settle.inline_adds /
+                                            1000000),
+            100.0 * totals.settle.closed_coverage());
       if (totals.fusion.seen > 0)
         std::fprintf(
             stderr,
@@ -396,92 +397,30 @@ int main(int argc, char** argv) {
                      i == 0 ? "" : ", ", cell.p, cell.n, cell.wall_s,
                      cell.skil_s, cell.dpfl_s, cell.c_s);
       }
-      const SweepSettleTotals totals = sum_settle_totals(run.cells);
-      std::fprintf(
-          out,
-          "], \"settle_counters\": {"
-          "\"closed_runs\": %llu, \"closed_adds\": %llu, "
-          "\"memo_hits\": %llu, \"memo_misses\": %llu, "
-          "\"memo_adds\": %llu, \"probe_adds\": %llu, "
-          "\"chain_records\": %llu, \"chain_adds\": %llu, "
-          "\"inline_adds\": %llu, \"closed_coverage\": %.6f}, "
-          "\"fusion_counters\": {"
-          "\"seen\": %llu, \"fused\": %llu, "
-          "\"rejected_shape\": %llu, \"rejected_order\": %llu, "
-          "\"rejected_path\": %llu, \"barriers_eliminated\": %llu, "
-          "\"tapes_eliminated\": %llu}",
-          static_cast<unsigned long long>(totals.settle.closed_runs),
-          static_cast<unsigned long long>(totals.settle.closed_adds),
-          static_cast<unsigned long long>(totals.settle.memo_hits),
-          static_cast<unsigned long long>(totals.settle.memo_misses),
-          static_cast<unsigned long long>(totals.settle.memo_adds),
-          static_cast<unsigned long long>(totals.settle.probe_adds),
-          static_cast<unsigned long long>(totals.settle.chain_records),
-          static_cast<unsigned long long>(totals.settle.chain_adds),
-          static_cast<unsigned long long>(totals.inline_adds),
-          totals.closed_coverage(),
-          static_cast<unsigned long long>(totals.fusion.seen),
-          static_cast<unsigned long long>(totals.fusion.fused),
-          static_cast<unsigned long long>(totals.fusion.rejected_shape),
-          static_cast<unsigned long long>(totals.fusion.rejected_order),
-          static_cast<unsigned long long>(totals.fusion.rejected_path),
-          static_cast<unsigned long long>(totals.fusion.barriers_eliminated),
-          static_cast<unsigned long long>(totals.fusion.tapes_eliminated));
-      // Collective-zoo counters (coll.h), summed over the best rep's
-      // cells.  Always written (like fusion_counters): a tree-mode
-      // report documents the zoo stayed off by showing zero non-tree
-      // picks.
-      std::fprintf(out, ", \"coll_counters\": {");
-      for (int op = 0; op < parix::kNumCollOps; ++op) {
-        const std::string op_name(
-            parix::coll_op_name(static_cast<parix::CollOp>(op)));
-        std::fprintf(out, "%s\"%s\": {\"calls\": {", op == 0 ? "" : ", ",
-                     op_name.c_str());
-        for (int a = 0; a < parix::kNumCollAlgos; ++a) {
-          const std::string algo_name(
-              parix::coll_algo_name(static_cast<parix::CollAlgo>(a)));
-          std::fprintf(out, "%s\"%s\": %llu", a == 0 ? "" : ", ",
-                       algo_name.c_str(),
-                       static_cast<unsigned long long>(
-                           totals.coll.calls[op][a]));
-        }
-        std::fprintf(
-            out, "}, \"bytes\": %llu, \"hops\": %llu, \"steps\": %llu}",
-            static_cast<unsigned long long>(totals.coll.bytes[op]),
-            static_cast<unsigned long long>(totals.coll.hops[op]),
-            static_cast<unsigned long long>(totals.coll.steps[op]));
-      }
-      std::fprintf(out, ", \"order_fallbacks\": %llu}",
-                   static_cast<unsigned long long>(
-                       totals.coll.order_fallbacks));
-      // Host scheduler totals (prof.h), summed over the best rep's
-      // cells.  Written only when profiling was on: an off-mode report
-      // must be indistinguishable from a pre-v7 run's (the validator
-      // enforces absence).
+      // Counter blocks, summed over the best rep's cells.  coll_counters
+      // is always written (like fusion_counters): a tree-mode report
+      // documents the zoo stayed off by showing zero non-tree picks.
+      // The scheduler block is written only when profiling was on: an
+      // off-mode report must be indistinguishable from a pre-v7 run's
+      // (the validator enforces absence).
+      const GaussCell totals = sum_counters(run.cells);
+      char coverage[32];
+      std::snprintf(coverage, sizeof coverage, "%.6f",
+                    totals.settle.closed_coverage());
+      std::string json = "], \"settle_counters\": ";
+      support::JsonObject(json, true)
+          .fields(totals.settle)
+          .raw("closed_coverage", coverage)
+          .close();
+      json += ", \"fusion_counters\": ";
+      support::JsonObject(json, true).fields(totals.fusion).close();
+      json += ", \"coll_counters\": ";
+      parix::write_coll_json(json, totals.coll, true);
       if (prof_mode != parix::ProfMode::kOff) {
-        const parix::SchedulerTotals sched = sum_sched_totals(run.cells);
-        std::fprintf(
-            out,
-            ", \"scheduler\": {"
-            "\"fibers_run\": %llu, \"fibers_resumed\": %llu, "
-            "\"steal_attempts\": %llu, \"steal_successes\": %llu, "
-            "\"steal_failed_rounds\": %llu, "
-            "\"parks\": %llu, \"unparks\": %llu, \"run_ns\": %llu, "
-            "\"pool_acquires\": %llu, \"pool_hits\": %llu, "
-            "\"pool_misses\": %llu, \"pool_bytes\": %llu}",
-            static_cast<unsigned long long>(sched.fibers_run),
-            static_cast<unsigned long long>(sched.fibers_resumed),
-            static_cast<unsigned long long>(sched.steal_attempts),
-            static_cast<unsigned long long>(sched.steal_successes),
-            static_cast<unsigned long long>(sched.steal_failed_rounds),
-            static_cast<unsigned long long>(sched.parks),
-            static_cast<unsigned long long>(sched.unparks),
-            static_cast<unsigned long long>(sched.run_ns),
-            static_cast<unsigned long long>(sched.pool_acquires),
-            static_cast<unsigned long long>(sched.pool_hits),
-            static_cast<unsigned long long>(sched.pool_misses),
-            static_cast<unsigned long long>(sched.pool_bytes));
+        json += ", \"scheduler\": ";
+        support::JsonObject(json, true).fields(totals.sched).close();
       }
+      std::fputs(json.c_str(), out);
       std::fprintf(out, "}%s\n", r + 1 < runs.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");

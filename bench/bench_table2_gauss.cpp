@@ -11,7 +11,6 @@
 // virtual times are per-cell deterministic, so the table is identical.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_common.h"
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
 
   const support::Cli cli(argc, argv, {"quick", "csv", "out-dir", "jobs"});
   const bool quick = cli.get_bool("quick");
-  const int jobs = std::max(1, std::atoi(cli.get("jobs", "1").c_str()));
+  const int jobs = std::max(1, cli.get_int("jobs", 1));
   const std::uint64_t seed = 19960528;
 
   banner("Table 2 -- Gaussian elimination (no pivoting)");

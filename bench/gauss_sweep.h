@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/gauss.h"
@@ -17,6 +18,7 @@
 #include "parix/coll.h"
 #include "parix/prof.h"
 #include "support/error.h"
+#include "support/fields.h"
 
 namespace skil::bench {
 
@@ -29,12 +31,10 @@ struct GaussCell {
   /// Host wall seconds this cell took (all three variants).
   double wall_s = 0.0;
   /// Settlement counter deltas over this cell's three runs
-  /// (charge_tape.h), plus the adds SKIL_SETTLE=chain executed.  Exact
-  /// when the cell ran in its own forked worker; in-process sequential
-  /// sweeps accumulate them per cell from the process-wide counters,
-  /// which is equally exact there.
+  /// (charge_tape.h).  Exact when the cell ran in its own forked
+  /// worker; in-process sequential sweeps accumulate them per cell from
+  /// the process-wide counters, which is equally exact there.
   parix::SettleCounters settle;
-  std::uint64_t inline_adds = 0;
   /// Skeleton fusion outcome deltas over this cell's three runs
   /// (charge_tape.h): all zero under SKIL_FUSE=off.
   parix::FusionCounters fusion;
@@ -48,60 +48,18 @@ struct GaussCell {
   double skil_over_c() const { return skil_s / c_s; }
 };
 
-/// Sums the settlement-relevant counters of a finished grid, for
-/// coverage reports (bench_engine_wall, the CI settlement smoke).
-struct SweepSettleTotals {
-  parix::SettleCounters settle;
-  std::uint64_t inline_adds = 0;
-  parix::FusionCounters fusion;
-  parix::CollectiveCounters coll;
-
-  /// All chain adds settlement accounted for, however retired.
-  std::uint64_t total_adds() const {
-    return settle.closed_adds + settle.memo_adds + settle.probe_adds +
-           settle.chain_adds + inline_adds;
-  }
-  /// Fraction of chain adds retired closed-form (freshly probed or
-  /// memoized) -- the ISSUE 6 coverage metric.
-  double closed_coverage() const {
-    const std::uint64_t total = total_adds();
-    if (total == 0) return 0.0;
-    return static_cast<double>(settle.closed_adds + settle.memo_adds) /
-           static_cast<double>(total);
-  }
-};
-
-/// Sums the host scheduler counters of a finished grid (prof.h) --
-/// all zero unless the sweep ran under SKIL_PROF=counters|sampled.
-inline parix::SchedulerTotals sum_sched_totals(
-    const std::vector<GaussCell>& cells) {
-  parix::SchedulerTotals t;
-  for (const GaussCell& cell : cells) t.add(cell.sched);
-  return t;
-}
-
-inline SweepSettleTotals sum_settle_totals(const std::vector<GaussCell>& cells) {
-  SweepSettleTotals t;
+/// A finished grid's counters summed over its cells, for the coverage
+/// and counter blocks of the reports (bench_engine_wall, the CI
+/// smokes).  Only the counter members of the result are meaningful.
+inline GaussCell sum_counters(const std::vector<GaussCell>& cells) {
+  GaussCell total;
   for (const GaussCell& cell : cells) {
-    t.settle.closed_runs += cell.settle.closed_runs;
-    t.settle.closed_adds += cell.settle.closed_adds;
-    t.settle.memo_hits += cell.settle.memo_hits;
-    t.settle.memo_misses += cell.settle.memo_misses;
-    t.settle.memo_adds += cell.settle.memo_adds;
-    t.settle.probe_adds += cell.settle.probe_adds;
-    t.settle.chain_records += cell.settle.chain_records;
-    t.settle.chain_adds += cell.settle.chain_adds;
-    t.inline_adds += cell.inline_adds;
-    t.fusion.seen += cell.fusion.seen;
-    t.fusion.fused += cell.fusion.fused;
-    t.fusion.rejected_shape += cell.fusion.rejected_shape;
-    t.fusion.rejected_order += cell.fusion.rejected_order;
-    t.fusion.rejected_path += cell.fusion.rejected_path;
-    t.fusion.barriers_eliminated += cell.fusion.barriers_eliminated;
-    t.fusion.tapes_eliminated += cell.fusion.tapes_eliminated;
-    t.coll += cell.coll;
+    support::add(total.settle, cell.settle);
+    support::add(total.fusion, cell.fusion);
+    total.sched.add(cell.sched);
+    total.coll += cell.coll;
   }
-  return t;
+  return total;
 }
 
 /// Paper Table 2 reference values: Skil absolute seconds (bold),
@@ -150,22 +108,8 @@ inline GaussCell run_gauss_cell(int p, int n, std::uint64_t seed) {
   const auto start = std::chrono::steady_clock::now();
   const auto account = [&cell](const parix::RunResult& run, double* out_s) {
     *out_s = run.vtime_seconds();
-    cell.settle.closed_runs += run.settle.closed_runs;
-    cell.settle.closed_adds += run.settle.closed_adds;
-    cell.settle.memo_hits += run.settle.memo_hits;
-    cell.settle.memo_misses += run.settle.memo_misses;
-    cell.settle.memo_adds += run.settle.memo_adds;
-    cell.settle.probe_adds += run.settle.probe_adds;
-    cell.settle.chain_records += run.settle.chain_records;
-    cell.settle.chain_adds += run.settle.chain_adds;
-    cell.inline_adds += run.gang.inline_adds;
-    cell.fusion.seen += run.fusion.seen;
-    cell.fusion.fused += run.fusion.fused;
-    cell.fusion.rejected_shape += run.fusion.rejected_shape;
-    cell.fusion.rejected_order += run.fusion.rejected_order;
-    cell.fusion.rejected_path += run.fusion.rejected_path;
-    cell.fusion.barriers_eliminated += run.fusion.barriers_eliminated;
-    cell.fusion.tapes_eliminated += run.fusion.tapes_eliminated;
+    support::add(cell.settle, run.settle);
+    support::add(cell.fusion, run.fusion);
     cell.sched.add(run.scheduler);
     cell.coll += run.coll;
   };
@@ -218,78 +162,14 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
       cells.push_back(cell);
     }
 
-  // Wire format cell -> parent: the four timing doubles followed by
-  // the settlement/fusion/scheduler/collective counters, fixed-width so
-  // a single read drains the pipe atomically (well under PIPE_BUF's
-  // 4096).  One visitor names the counter slots for both directions,
-  // so pack and unpack cannot disagree on the layout.
-  constexpr int kWireCounters = 57;
-  struct CellWire {
-    double d[4];
-    std::uint64_t u[kWireCounters];
-  };
+  // Wire format cell -> parent: the GaussCell itself.  Every member is
+  // a plain number, so the bytes carry every counter family whole, and
+  // the struct is small enough that a single read drains the pipe
+  // atomically (well under PIPE_BUF's 4096).
+  using CellWire = GaussCell;
+  static_assert(std::is_trivially_copyable_v<CellWire>,
+                "CellWire must ship as raw bytes");
   static_assert(sizeof(CellWire) < 1024, "CellWire must stay one pipe write");
-  const auto for_each_counter = [](GaussCell& cell, auto&& visit) {
-    visit(cell.settle.closed_runs);
-    visit(cell.settle.closed_adds);
-    visit(cell.settle.memo_hits);
-    visit(cell.settle.memo_misses);
-    visit(cell.settle.memo_adds);
-    visit(cell.settle.probe_adds);
-    visit(cell.settle.chain_records);
-    visit(cell.settle.chain_adds);
-    visit(cell.inline_adds);
-    visit(cell.fusion.seen);
-    visit(cell.fusion.fused);
-    visit(cell.fusion.rejected_shape);
-    visit(cell.fusion.rejected_order);
-    visit(cell.fusion.rejected_path);
-    visit(cell.fusion.barriers_eliminated);
-    visit(cell.fusion.tapes_eliminated);
-    visit(cell.sched.fibers_run);
-    visit(cell.sched.fibers_resumed);
-    visit(cell.sched.steal_attempts);
-    visit(cell.sched.steal_successes);
-    visit(cell.sched.steal_failed_rounds);
-    visit(cell.sched.parks);
-    visit(cell.sched.unparks);
-    visit(cell.sched.run_ns);
-    visit(cell.sched.pool_acquires);
-    visit(cell.sched.pool_hits);
-    visit(cell.sched.pool_misses);
-    visit(cell.sched.pool_bytes);
-    for (int op = 0; op < parix::kNumCollOps; ++op)
-      for (int a = 0; a < parix::kNumCollAlgos; ++a)
-        visit(cell.coll.calls[op][a]);
-    for (int op = 0; op < parix::kNumCollOps; ++op) {
-      visit(cell.coll.bytes[op]);
-      visit(cell.coll.hops[op]);
-      visit(cell.coll.steps[op]);
-    }
-    visit(cell.coll.order_fallbacks);
-  };
-  const auto pack = [&for_each_counter](GaussCell cell) {
-    CellWire w{};
-    w.d[0] = cell.skil_s;
-    w.d[1] = cell.dpfl_s;
-    w.d[2] = cell.c_s;
-    w.d[3] = cell.wall_s;
-    int slot = 0;
-    for_each_counter(cell, [&](std::uint64_t& v) {
-      SKIL_ASSERT(slot < kWireCounters, "CellWire: too many counters");
-      w.u[slot++] = v;
-    });
-    SKIL_ASSERT(slot == kWireCounters, "CellWire: too few counters");
-    return w;
-  };
-  const auto unpack = [&for_each_counter](const CellWire& w, GaussCell& cell) {
-    cell.skil_s = w.d[0];
-    cell.dpfl_s = w.d[1];
-    cell.c_s = w.d[2];
-    cell.wall_s = w.d[3];
-    int slot = 0;
-    for_each_counter(cell, [&](std::uint64_t& v) { v = w.u[slot++]; });
-  };
 
   struct Worker {
     pid_t pid = -1;
@@ -298,7 +178,7 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
   };
   std::vector<Worker> active;
 
-  auto reap_one = [&cells, &active, &unpack]() {
+  auto reap_one = [&cells, &active]() {
     int status = 0;
     const pid_t pid = ::waitpid(-1, &status, 0);
     SKIL_ASSERT(pid > 0, "run_gauss_grid_jobs: waitpid failed");
@@ -308,12 +188,11 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
                   "run_gauss_grid_jobs: worker failed for cell p=" +
                       std::to_string(cells[active[w].cell].p) +
                       " n=" + std::to_string(cells[active[w].cell].n));
-      CellWire wire{};
+      CellWire& wire = cells[active[w].cell];
       const ssize_t got = ::read(active[w].read_fd, &wire, sizeof(wire));
       ::close(active[w].read_fd);
       SKIL_ASSERT(got == static_cast<ssize_t>(sizeof(wire)),
                   "run_gauss_grid_jobs: short read from worker");
-      unpack(wire, cells[active[w].cell]);
       active.erase(active.begin() + static_cast<long>(w));
       return;
     }
@@ -330,8 +209,7 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
     SKIL_ASSERT(pid >= 0, "run_gauss_grid_jobs: fork failed");
     if (pid == 0) {
       ::close(fds[0]);
-      const GaussCell cell = run_gauss_cell(cells[i].p, cells[i].n, seed);
-      const CellWire wire = pack(cell);
+      const CellWire wire = run_gauss_cell(cells[i].p, cells[i].n, seed);
       const ssize_t wrote = ::write(fds[1], &wire, sizeof(wire));
       ::_exit(wrote == static_cast<ssize_t>(sizeof(wire)) ? 0 : 1);
     }

@@ -30,7 +30,15 @@
 # SKIL_SETTLE),
 # --fuse=off|on to select the skeleton fusion mode (default: off;
 # exported as SKIL_FUSE -- record an off/on pair at the same config
-# for the EXPERIMENTS.md W6 same-build A/B), and
+# for the EXPERIMENTS.md W6 same-build A/B),
+# --prof=off|counters|sampled to select the host scheduler profiler
+# (default: off; exported as SKIL_PROF; a profiled record carries the
+# scheduler totals),
+# --coll=tree|ring|rd|auto to select the collective-algorithm family
+# (default: auto; exported as SKIL_COLL),
+# --engine=threads|pooled|both to restrict the sweep to one engine
+# (default: both; a single-engine record has no cross-engine vtime
+# comparison), and
 # --trace-out=DIR to re-run one representative cell under
 # SKIL_TRACE=full and write its Chrome trace + metrics JSON into DIR
 # (created if missing; the timed sweep itself stays untraced).
@@ -46,6 +54,9 @@
 #                                    [--charge=interp|tape]
 #                                    [--settle=chain|closed]
 #                                    [--fuse=off|on]
+#                                    [--prof=off|counters|sampled]
+#                                    [--coll=tree|ring|rd|auto]
+#                                    [--engine=threads|pooled|both]
 #                                    [--baseline=secs]
 #                                    [--baseline-note=text]
 #                                    [--trace-out=DIR]

@@ -46,11 +46,13 @@
 //              cached walks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
 #include "parix/cost_model.h"
+#include "support/fields.h"
 
 namespace skil::parix {
 
@@ -137,6 +139,20 @@ struct FusionCounters {
   std::uint64_t rejected_path = 0;
   std::uint64_t barriers_eliminated = 0;
   std::uint64_t tapes_eliminated = 0;
+
+  static constexpr auto fields() {
+    using F = support::Field<FusionCounters, std::uint64_t>;
+    return std::array{
+        F{"seen", &FusionCounters::seen},
+        F{"fused", &FusionCounters::fused},
+        F{"rejected_shape", &FusionCounters::rejected_shape},
+        F{"rejected_order", &FusionCounters::rejected_order},
+        F{"rejected_path", &FusionCounters::rejected_path},
+        F{"barriers_eliminated", &FusionCounters::barriers_eliminated},
+        F{"tapes_eliminated", &FusionCounters::tapes_eliminated},
+    };
+  }
+  bool operator==(const FusionCounters&) const = default;
 
   std::uint64_t rejected() const {
     return rejected_shape + rejected_order + rejected_path;
@@ -232,18 +248,16 @@ class ChargeTape {
 /// ChargeLedger::settle, defined out of line to keep the atomic out of
 /// the header).
 void note_inline_settle(std::uint64_t adds);
-/// Cumulative adds ChargeLedger::settle executed (SKIL_SETTLE=chain).
-std::uint64_t inline_settle_adds();
 
-/// Cumulative algebraic-settlement counters (process-wide, relaxed
-/// atomics underneath).  `closed_adds` / `memo_adds` are chain adds
-/// the walk *skipped* (retired in closed form, the delta freshly
+/// Cumulative settlement counters (process-wide, relaxed atomics
+/// underneath).  `closed_adds` / `memo_adds` are chain adds the
+/// algebraic walk *skipped* (retired in closed form, the delta freshly
 /// probed this settle vs served from the cross-replay memo);
 /// `probe_adds` are real adds spent measuring period deltas;
 /// `chain_adds` are real adds on records the algebraic engine
 /// declined (chain-only flags, tiny repetition counts, binade-
-/// boundary periods).  Together with the chain-mode adds
-/// (inline_settle_adds) they account for every pending chain add,
+/// boundary periods); `inline_adds` are the adds SKIL_SETTLE=chain
+/// executed.  Together they account for every pending chain add,
 /// which is how the bench proves its closed-form coverage claim.
 struct SettleCounters {
   std::uint64_t closed_runs = 0;     ///< records retired via closed-form walks
@@ -254,6 +268,35 @@ struct SettleCounters {
   std::uint64_t probe_adds = 0;      ///< real adds spent learning period deltas
   std::uint64_t chain_records = 0;   ///< records plain-chained by the engine
   std::uint64_t chain_adds = 0;      ///< real adds plain-chained by the engine
+  std::uint64_t inline_adds = 0;     ///< adds SKIL_SETTLE=chain executed
+
+  static constexpr auto fields() {
+    using F = support::Field<SettleCounters, std::uint64_t>;
+    return std::array{
+        F{"closed_runs", &SettleCounters::closed_runs},
+        F{"closed_adds", &SettleCounters::closed_adds},
+        F{"memo_hits", &SettleCounters::memo_hits},
+        F{"memo_misses", &SettleCounters::memo_misses},
+        F{"memo_adds", &SettleCounters::memo_adds},
+        F{"probe_adds", &SettleCounters::probe_adds},
+        F{"chain_records", &SettleCounters::chain_records},
+        F{"chain_adds", &SettleCounters::chain_adds},
+        F{"inline_adds", &SettleCounters::inline_adds},
+    };
+  }
+
+  /// All chain adds settlement accounted for, however retired.
+  std::uint64_t total_adds() const {
+    return closed_adds + memo_adds + probe_adds + chain_adds + inline_adds;
+  }
+  /// Fraction of chain adds retired closed-form (freshly probed or
+  /// memoized) -- the coverage the settlement perf claims rest on.
+  double closed_coverage() const {
+    const std::uint64_t total = total_adds();
+    return total > 0 ? static_cast<double>(closed_adds + memo_adds) /
+                           static_cast<double>(total)
+                     : 0.0;
+  }
 };
 SettleCounters settle_counters();
 

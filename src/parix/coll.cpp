@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "support/env.h"
+#include "support/fields.h"
 
 namespace skil::parix {
 
@@ -63,6 +64,21 @@ std::string_view coll_algo_name(CollAlgo algo) {
     case CollAlgo::kRabenseifner: return "rabenseifner";
   }
   return "?";
+}
+
+void write_coll_json(std::string& out, const CollectiveCounters& c,
+                     bool spaced) {
+  support::JsonObject all(out, spaced);
+  for (int op = 0; op < kNumCollOps; ++op) {
+    support::JsonObject one = all.object(coll_op_name(static_cast<CollOp>(op)));
+    support::JsonObject calls = one.object("calls");
+    for (int algo = 0; algo < kNumCollAlgos; ++algo)
+      calls.num(coll_algo_name(static_cast<CollAlgo>(algo)), c.calls[op][algo]);
+    calls.close();
+    one.num("bytes", c.bytes[op]).num("hops", c.hops[op]);
+    one.num("steps", c.steps[op]).close();
+  }
+  all.num("order_fallbacks", c.order_fallbacks).close();
 }
 
 }  // namespace skil::parix

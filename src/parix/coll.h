@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <string_view>
 #include <tuple>
 
@@ -163,5 +164,12 @@ struct CollectiveCounters {
     return n;
   }
 };
+
+/// Appends `c` as the JSON object the metrics JSON writes compact as
+/// "collectives" and the BENCH reports spaced as "coll_counters": per
+/// op its calls by algorithm, bytes, hops and steps, then
+/// order_fallbacks.
+void write_coll_json(std::string& out, const CollectiveCounters& c,
+                     bool spaced);
 
 }  // namespace skil::parix

@@ -373,8 +373,7 @@ Fiber* Scheduler::pop_ready_locked(int index) {
   ProfRegistry* const prof = prof_registry();
   if (ready_count_ == 0) {
     if (prof != nullptr && index < prof->n) [[unlikely]]
-      prof->carriers[index].steal_failed_rounds.fetch_add(
-          1, std::memory_order_relaxed);
+      prof->carriers[index].bump(&CarrierReport::steal_failed_rounds);
     return nullptr;
   }
   const int n = static_cast<int>(queues_.size());
@@ -384,8 +383,7 @@ Fiber* Scheduler::pop_ready_locked(int index) {
     auto& queue = queues_[static_cast<std::size_t>(owner)];
     if (queue.empty()) {
       if (prof != nullptr && i > 0 && index < prof->n) [[unlikely]]
-        prof->carriers[index].steal_attempts.fetch_add(
-            1, std::memory_order_relaxed);
+        prof->carriers[index].bump(&CarrierReport::steal_attempts);
       continue;
     }
     Fiber* fiber = queue.front();
@@ -394,8 +392,8 @@ Fiber* Scheduler::pop_ready_locked(int index) {
     if (prof != nullptr) [[unlikely]] {
       if (i > 0 && index < prof->n) {
         CarrierCounters& pc = prof->carriers[index];
-        pc.steal_attempts.fetch_add(1, std::memory_order_relaxed);
-        pc.steal_successes.fetch_add(1, std::memory_order_relaxed);
+        pc.bump(&CarrierReport::steal_attempts);
+        pc.bump(&CarrierReport::steal_successes);
       }
       if (owner < prof->n)
         prof->carriers[owner].queue_depth.store(
@@ -465,8 +463,8 @@ void Scheduler::worker_main(int index) {
     std::chrono::steady_clock::time_point prof_t0;
     if (prof != nullptr && index < prof->n) [[unlikely]] {
       CarrierCounters& pc = prof->carriers[index];
-      pc.fibers_run.fetch_add(1, std::memory_order_relaxed);
-      if (resumed) pc.fibers_resumed.fetch_add(1, std::memory_order_relaxed);
+      pc.bump(&CarrierReport::fibers_run);
+      if (resumed) pc.bump(&CarrierReport::fibers_resumed);
       pc.running_proc.store(fiber->proc->id(), std::memory_order_relaxed);
       prof_t0 = std::chrono::steady_clock::now();
     }
@@ -480,12 +478,11 @@ void Scheduler::worker_main(int index) {
 
     if (prof != nullptr && index < prof->n) [[unlikely]] {
       CarrierCounters& pc = prof->carriers[index];
-      pc.run_ns.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - prof_t0)
-                  .count()),
-          std::memory_order_relaxed);
+      pc.bump(&CarrierReport::run_ns,
+              static_cast<std::uint64_t>(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - prof_t0)
+                      .count()));
       pc.running_proc.store(-1, std::memory_order_relaxed);
     }
 
@@ -506,8 +503,7 @@ void Scheduler::worker_main(int index) {
           ++parked_;
           if (ProfRegistry* const prof_park = prof_registry();
               prof_park != nullptr && index < prof_park->n) [[unlikely]]
-            prof_park->carriers[index].parks.fetch_add(
-                1, std::memory_order_relaxed);
+            prof_park->carriers[index].bump(&CarrierReport::parks);
           detect_deadlock_locked(lock);
         }
         break;
@@ -546,8 +542,7 @@ void Scheduler::wake(Fiber* fiber) {
       --parked_;
       if (ProfRegistry* const prof = prof_registry();
           prof != nullptr && fiber->home < prof->n) [[unlikely]]
-        prof->carriers[fiber->home].unparks.fetch_add(
-            1, std::memory_order_relaxed);
+        prof->carriers[fiber->home].bump(&CarrierReport::unparks);
       enqueue_locked(fiber);
       break;
     case FiberState::kParking:

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "support/error.h"
+#include "support/fields.h"
 
 namespace skil::parix {
 
@@ -438,62 +439,24 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
   // chain adds were retired -- closed-form walks, memoized walks,
   // probes, plain chains, chain-mode settles -- plus the derived
   // closed-form coverage fraction the perf claims are gated on.
-  {
-    const SettleCounters& s = result.settle;
-    const std::uint64_t total_adds = s.closed_adds + s.memo_adds +
-                                     s.probe_adds + s.chain_adds +
-                                     result.gang.inline_adds;
-    const double coverage =
-        total_adds > 0
-            ? static_cast<double>(s.closed_adds + s.memo_adds) /
-                  static_cast<double>(total_adds)
-            : 0.0;
-    out << ",\"settlement\":{\"closed_runs\":" << s.closed_runs
-        << ",\"closed_adds\":" << s.closed_adds
-        << ",\"memo_hits\":" << s.memo_hits
-        << ",\"memo_misses\":" << s.memo_misses
-        << ",\"memo_adds\":" << s.memo_adds
-        << ",\"probe_adds\":" << s.probe_adds
-        << ",\"chain_records\":" << s.chain_records
-        << ",\"chain_adds\":" << s.chain_adds
-        << ",\"inline_adds\":" << result.gang.inline_adds
-        << ",\"closed_coverage\":" << fmt_double(coverage) << "}";
-  }
+  std::string json = ",\"settlement\":";
+  support::JsonObject(json, false)
+      .fields(result.settle)
+      .raw("closed_coverage", fmt_double(result.settle.closed_coverage()))
+      .close();
 
   // Fusion accounting (charge_tape.h): how many skeleton compositions
   // this run saw, fused, or rejected (by reason), and what the fused
   // forms eliminated.  All zero under SKIL_FUSE=off.
-  {
-    const FusionCounters& f = result.fusion;
-    out << ",\"fusion\":{\"seen\":" << f.seen << ",\"fused\":" << f.fused
-        << ",\"rejected_shape\":" << f.rejected_shape
-        << ",\"rejected_order\":" << f.rejected_order
-        << ",\"rejected_path\":" << f.rejected_path
-        << ",\"barriers_eliminated\":" << f.barriers_eliminated
-        << ",\"tapes_eliminated\":" << f.tapes_eliminated << "}";
-  }
+  json += ",\"fusion\":";
+  support::JsonObject(json, false).fields(result.fusion).close();
 
   // Collective accounting (parix/coll.h): which algorithm every
   // collective call resolved to, plus the wire bytes, physical hop
   // distances and communication rounds per op.  Summed over the
   // per-proc counters, so exact even with concurrent runs.
-  {
-    const CollectiveCounters& c = result.coll;
-    out << ",\"collectives\":{";
-    for (int op = 0; op < kNumCollOps; ++op) {
-      if (op > 0) out << ",";
-      out << "\"" << coll_op_name(static_cast<CollOp>(op))
-          << "\":{\"calls\":{";
-      for (int algo = 0; algo < kNumCollAlgos; ++algo) {
-        if (algo > 0) out << ",";
-        out << "\"" << coll_algo_name(static_cast<CollAlgo>(algo))
-            << "\":" << c.calls[op][algo];
-      }
-      out << "},\"bytes\":" << c.bytes[op] << ",\"hops\":" << c.hops[op]
-          << ",\"steps\":" << c.steps[op] << "}";
-    }
-    out << ",\"order_fallbacks\":" << c.order_fallbacks << "}";
-  }
+  json += ",\"collectives\":";
+  write_coll_json(json, result.coll, false);
 
   // Host scheduler observatory (prof.h): present only when the run was
   // profiled (SKIL_PROF=counters|sampled).  Everything in this block is
@@ -502,37 +465,40 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
   // same workload produces bit-identical vtimes with no block at all.
   if (result.scheduler.mode != ProfMode::kOff) {
     const SchedulerReport& sr = result.scheduler;
-    out << ",\"scheduler\":{\"prof\":\"" << prof_mode_name(sr.mode)
-        << "\",\"carriers\":" << sr.carriers << ",\"wall_ns\":" << sr.wall_ns
-        << ",\"samples\":" << sr.samples << ",\"per_carrier\":[";
+    json += ",\"scheduler\":";
+    support::JsonObject sched(json, false);
+    sched.str("prof", prof_mode_name(sr.mode))
+        .num("carriers", sr.carriers)
+        .num("wall_ns", sr.wall_ns)
+        .num("samples", sr.samples)
+        .key("per_carrier") += '[';
     for (std::size_t c = 0; c < sr.per_carrier.size(); ++c) {
       const CarrierReport& lane = sr.per_carrier[c];
       const double util =
           sr.wall_ns > 0 ? 100.0 * static_cast<double>(lane.run_ns) /
                                static_cast<double>(sr.wall_ns)
                          : 0.0;
-      if (c > 0) out << ",";
-      out << "{\"carrier\":" << c << ",\"fibers_run\":" << lane.fibers_run
-          << ",\"fibers_resumed\":" << lane.fibers_resumed
-          << ",\"steal_attempts\":" << lane.steal_attempts
-          << ",\"steal_successes\":" << lane.steal_successes
-          << ",\"steal_failed_rounds\":" << lane.steal_failed_rounds
-          << ",\"parks\":" << lane.parks << ",\"unparks\":" << lane.unparks
-          << ",\"run_ns\":" << lane.run_ns
-          << ",\"utilization_pct\":" << fmt_double(util) << "}";
+      if (c > 0) json += ',';
+      support::JsonObject(json, false)
+          .num("carrier", c)
+          .fields(lane)
+          .raw("utilization_pct", fmt_double(util))
+          .close();
     }
-    const std::uint64_t pool_acquires = sr.pool.acquires;
+    json += ']';
     const double pool_hit_rate =
-        pool_acquires > 0 ? static_cast<double>(sr.pool.hits) /
-                                static_cast<double>(pool_acquires)
-                          : 0.0;
-    out << "],\"pool\":{\"acquires\":" << sr.pool.acquires
-        << ",\"hits\":" << sr.pool.hits << ",\"misses\":" << sr.pool.misses
-        << ",\"bytes\":" << sr.pool.bytes
-        << ",\"hit_rate\":" << fmt_double(pool_hit_rate) << "}"
-        << ",\"memo_hits\":" << sr.memo_hits
-        << ",\"memo_misses\":" << sr.memo_misses << "}";
+        sr.pool.acquires > 0 ? static_cast<double>(sr.pool.hits) /
+                                   static_cast<double>(sr.pool.acquires)
+                             : 0.0;
+    sched.object("pool")
+        .fields(sr.pool)
+        .raw("hit_rate", fmt_double(pool_hit_rate))
+        .close();
+    sched.num("memo_hits", result.settle.memo_hits)
+        .num("memo_misses", result.settle.memo_misses)
+        .close();
   }
+  out << json;
 
   out << ",\"procs\":[";
   for (std::size_t p = 0; p < result.proc_stats.size(); ++p) {

@@ -91,32 +91,10 @@ void prof_ensure_registry(int carriers) {
       static_cast<std::size_t>(carriers));
   if (current != nullptr) {
     // Carry the cumulative counts over so before/after deltas spanning
-    // a resize stay exact.  Writers are quiescent here: the executor
-    // only resizes between runs.
-    for (int i = 0; i < current->n; ++i) {
-      const CarrierCounters& src = current->carriers[i];
-      CarrierCounters& dst = lanes[i];
-      dst.fibers_run.store(src.fibers_run.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-      dst.fibers_resumed.store(
-          src.fibers_resumed.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dst.steal_attempts.store(
-          src.steal_attempts.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dst.steal_successes.store(
-          src.steal_successes.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dst.steal_failed_rounds.store(
-          src.steal_failed_rounds.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dst.parks.store(src.parks.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      dst.unparks.store(src.unparks.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      dst.run_ns.store(src.run_ns.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    }
+    // a resize stay exact.  Writers are quiescent here (the executor
+    // only resizes between runs) and the new lanes are unpublished.
+    for (int i = 0; i < current->n; ++i)
+      lanes[i].counts = current->carriers[i].load();
   }
   grown->carriers = lanes.get();
   grown->n = carriers;
@@ -150,59 +128,42 @@ PoolCounters prof_pool_counters() {
   return pool_counters_slot();
 }
 
-RegistrySnapshot prof_snapshot() {
-  RegistrySnapshot snapshot;
+std::vector<CarrierReport> prof_snapshot() {
+  std::vector<CarrierReport> lanes;
   ProfRegistry* registry =
       prof_detail::g_registry.load(std::memory_order_acquire);
-  if (registry == nullptr) return snapshot;
-  snapshot.lanes.reserve(static_cast<std::size_t>(registry->n));
-  for (int i = 0; i < registry->n; ++i) {
-    const CarrierCounters& c = registry->carriers[i];
-    RegistrySnapshot::Lane lane;
-    lane.fibers_run = c.fibers_run.load(std::memory_order_relaxed);
-    lane.fibers_resumed = c.fibers_resumed.load(std::memory_order_relaxed);
-    lane.steal_attempts = c.steal_attempts.load(std::memory_order_relaxed);
-    lane.steal_successes = c.steal_successes.load(std::memory_order_relaxed);
-    lane.steal_failed_rounds =
-        c.steal_failed_rounds.load(std::memory_order_relaxed);
-    lane.parks = c.parks.load(std::memory_order_relaxed);
-    lane.unparks = c.unparks.load(std::memory_order_relaxed);
-    lane.run_ns = c.run_ns.load(std::memory_order_relaxed);
-    snapshot.lanes.push_back(lane);
-  }
-  return snapshot;
+  if (registry == nullptr) return lanes;
+  lanes.reserve(static_cast<std::size_t>(registry->n));
+  for (int i = 0; i < registry->n; ++i)
+    lanes.push_back(registry->carriers[i].load());
+  return lanes;
 }
+
+// SchedulerTotals::add maps the totals table onto CarrierReport's and
+// then PoolCounters' (under a `pool_` prefix) by position.
+static_assert([] {
+  constexpr auto t = SchedulerTotals::fields();
+  constexpr auto c = CarrierReport::fields();
+  constexpr auto p = PoolCounters::fields();
+  bool ok = t.size() == c.size() + p.size();
+  for (std::size_t i = 0; ok && i < t.size(); ++i)
+    ok = i < c.size() ? t[i].name == c[i].name
+                      : t[i].name.starts_with("pool_") &&
+                            t[i].name.substr(5) == p[i - c.size()].name;
+  return ok;
+}());
 
 void SchedulerTotals::add(const SchedulerReport& report) {
-  for (const CarrierReport& c : report.per_carrier) {
-    fibers_run += c.fibers_run;
-    fibers_resumed += c.fibers_resumed;
-    steal_attempts += c.steal_attempts;
-    steal_successes += c.steal_successes;
-    steal_failed_rounds += c.steal_failed_rounds;
-    parks += c.parks;
-    unparks += c.unparks;
-    run_ns += c.run_ns;
-  }
-  pool_acquires += report.pool.acquires;
-  pool_hits += report.pool.hits;
-  pool_misses += report.pool.misses;
-  pool_bytes += report.pool.bytes;
-}
-
-void SchedulerTotals::add(const SchedulerTotals& other) {
-  fibers_run += other.fibers_run;
-  fibers_resumed += other.fibers_resumed;
-  steal_attempts += other.steal_attempts;
-  steal_successes += other.steal_successes;
-  steal_failed_rounds += other.steal_failed_rounds;
-  parks += other.parks;
-  unparks += other.unparks;
-  run_ns += other.run_ns;
-  pool_acquires += other.pool_acquires;
-  pool_hits += other.pool_hits;
-  pool_misses += other.pool_misses;
-  pool_bytes += other.pool_bytes;
+  CarrierReport lanes;
+  for (const CarrierReport& lane : report.per_carrier)
+    support::add(lanes, lane);
+  constexpr auto table = fields();
+  std::size_t i = 0;
+  const auto into = [&](std::string_view, std::uint64_t v) {
+    this->*table[i++].member += v;
+  };
+  support::for_each(lanes, into);
+  support::for_each(report.pool, into);
 }
 
 namespace {
@@ -308,14 +269,14 @@ void ProfSampler::sample_once(std::chrono::steady_clock::time_point now) {
           .count());
   const int lanes = std::min(timeline_->carriers, registry->n);
   for (int i = 0; i < lanes; ++i) {
-    const CarrierCounters& c = registry->carriers[i];
+    CarrierCounters& c = registry->carriers[i];
     ProfSample sample;
     sample.wall_ns = wall_ns;
     sample.carrier = i;
     sample.running_proc = c.running_proc.load(std::memory_order_relaxed);
     sample.queue_depth = c.queue_depth.load(std::memory_order_relaxed);
-    sample.fibers_run = c.fibers_run.load(std::memory_order_relaxed);
-    sample.steal_successes = c.steal_successes.load(std::memory_order_relaxed);
+    sample.fibers_run = c.read(&CarrierReport::fibers_run);
+    sample.steal_successes = c.read(&CarrierReport::steal_successes);
     timeline_->samples.push_back(sample);
   }
 }

@@ -25,12 +25,15 @@
 // executor_set_carriers calls), so the retained memory is noise.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
+
+#include "support/fields.h"
 
 namespace skil::parix {
 
@@ -45,23 +48,59 @@ std::string_view prof_mode_name(ProfMode mode);
 ProfMode default_prof_mode();
 void set_default_prof_mode(ProfMode mode);
 
-/// One carrier thread's counters.  All fields are written by the
-/// owning carrier (or under the scheduler mutex) with relaxed atomics
-/// and read by the sampler/aggregator without synchronization: every
-/// field is monotone (or a gauge), so a torn read across fields is
+/// One carrier's scheduler counters: a live lane's cumulative totals
+/// (CarrierCounters::counts) or its activity during one run (the
+/// delta of two snapshots).
+struct CarrierReport {
+  std::uint64_t fibers_run = 0;       ///< dispatches (first or resumed)
+  std::uint64_t fibers_resumed = 0;   ///< dispatches of a fiber that ran before
+  std::uint64_t steal_attempts = 0;   ///< probes of a non-home queue
+  std::uint64_t steal_successes = 0;  ///< fibers taken from a non-home queue
+  std::uint64_t steal_failed_rounds = 0;  ///< full sweeps that found nothing
+  std::uint64_t parks = 0;            ///< kParking -> kParked transitions
+  std::uint64_t unparks = 0;          ///< kParked -> ready wakeups
+  std::uint64_t run_ns = 0;           ///< host ns inside fiber context switches
+
+  static constexpr auto fields() {
+    using F = support::Field<CarrierReport, std::uint64_t>;
+    return std::array{
+        F{"fibers_run", &CarrierReport::fibers_run},
+        F{"fibers_resumed", &CarrierReport::fibers_resumed},
+        F{"steal_attempts", &CarrierReport::steal_attempts},
+        F{"steal_successes", &CarrierReport::steal_successes},
+        F{"steal_failed_rounds", &CarrierReport::steal_failed_rounds},
+        F{"parks", &CarrierReport::parks},
+        F{"unparks", &CarrierReport::unparks},
+        F{"run_ns", &CarrierReport::run_ns},
+    };
+  }
+};
+
+/// One carrier thread's live lane, padded to its own cache line so two
+/// carriers never contend.  The counters are written by the owning
+/// carrier (or under the scheduler mutex) and read by the sampler and
+/// aggregator without synchronization, all through relaxed atomic
+/// refs: every counter is monotone, so a torn read across fields is
 /// harmless and a per-field relaxed read is exact.
 struct alignas(64) CarrierCounters {
-  std::atomic<std::uint64_t> fibers_run{0};       ///< dispatches (first or resumed)
-  std::atomic<std::uint64_t> fibers_resumed{0};   ///< dispatches of a fiber that ran before
-  std::atomic<std::uint64_t> steal_attempts{0};   ///< probes of a non-home queue
-  std::atomic<std::uint64_t> steal_successes{0};  ///< fibers taken from a non-home queue
-  std::atomic<std::uint64_t> steal_failed_rounds{0};  ///< full sweeps that found nothing
-  std::atomic<std::uint64_t> parks{0};            ///< kParking -> kParked transitions
-  std::atomic<std::uint64_t> unparks{0};          ///< kParked -> ready wakeups
-  std::atomic<std::uint64_t> run_ns{0};           ///< host ns inside fiber context switches
+  CarrierReport counts;  ///< touched only through bump() and read()
   // Gauges for the sampler (not part of the delta report).
-  std::atomic<std::int32_t> running_proc{-1};     ///< vproc id on this carrier, -1 = idle
-  std::atomic<std::int32_t> queue_depth{0};       ///< ready fibers homed on this carrier
+  std::atomic<std::int32_t> running_proc{-1};  ///< vproc id, -1 = idle
+  std::atomic<std::int32_t> queue_depth{0};  ///< ready fibers homed here
+
+  void bump(std::uint64_t CarrierReport::*counter, std::uint64_t n = 1) {
+    std::atomic_ref(counts.*counter).fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t read(std::uint64_t CarrierReport::*counter) {
+    return std::atomic_ref(counts.*counter).load(std::memory_order_relaxed);
+  }
+  /// Every counter, one relaxed read each.
+  CarrierReport load() {
+    CarrierReport report;
+    for (const auto& f : CarrierReport::fields())
+      report.*f.member = read(f.member);
+    return report;
+  }
 };
 
 struct ProfRegistry {
@@ -122,52 +161,44 @@ struct PoolCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t bytes = 0;  ///< payload bytes served (hits + misses)
+
+  static constexpr auto fields() {
+    using F = support::Field<PoolCounters, std::uint64_t>;
+    return std::array{
+        F{"acquires", &PoolCounters::acquires},
+        F{"hits", &PoolCounters::hits},
+        F{"misses", &PoolCounters::misses},
+        F{"bytes", &PoolCounters::bytes},
+    };
+  }
 };
 
 /// Out-of-line so buffer_pool.h only pays a call on profiled runs.
 void prof_note_pool_acquire(bool hit, std::uint64_t bytes);
 PoolCounters prof_pool_counters();
 
-/// A point-in-time copy of the registry, used for before/after deltas.
-struct RegistrySnapshot {
-  struct Lane {
-    std::uint64_t fibers_run, fibers_resumed;
-    std::uint64_t steal_attempts, steal_successes, steal_failed_rounds;
-    std::uint64_t parks, unparks, run_ns;
-  };
-  std::vector<Lane> lanes;
-};
-RegistrySnapshot prof_snapshot();
-
-/// One carrier's activity during a run (delta of two snapshots).
-struct CarrierReport {
-  std::uint64_t fibers_run = 0;
-  std::uint64_t fibers_resumed = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steal_successes = 0;
-  std::uint64_t steal_failed_rounds = 0;
-  std::uint64_t parks = 0;
-  std::uint64_t unparks = 0;
-  std::uint64_t run_ns = 0;
-};
+/// A point-in-time copy of every registry lane's counters, used for
+/// before/after deltas.
+std::vector<CarrierReport> prof_snapshot();
 
 /// The per-run scheduler report carried on RunResult and exported as
 /// the `scheduler` object of the metrics JSON.  `carriers` is 0 for
-/// the threads engine (no carrier pool), but pool and memo counters
-/// are still reported there.
+/// the threads engine (no carrier pool), but pool counters are still
+/// reported there.
 struct SchedulerReport {
   ProfMode mode = ProfMode::kOff;
   int carriers = 0;
   std::vector<CarrierReport> per_carrier;
   PoolCounters pool;
-  std::uint64_t memo_hits = 0;    ///< tape-memo hits (from SettleCounters)
-  std::uint64_t memo_misses = 0;
   std::uint64_t wall_ns = 0;      ///< host wall time of the run
   std::uint64_t samples = 0;      ///< sampler ticks (kSampled only)
 };
 
-/// Flat, carrier-summed totals -- the shape the bench sweeps ship over
-/// the fork-pipe wire and aggregate across cells.
+/// Carrier- and cell-summed scheduler totals: the shape the bench
+/// sweeps aggregate across cells and write as the BENCH `scheduler`
+/// block.  The table is CarrierReport's followed by PoolCounters'
+/// with a `pool_` prefix, entry for entry (add() relies on it);
+/// settle_ns is left out of it.
 struct SchedulerTotals {
   std::uint64_t fibers_run = 0;
   std::uint64_t fibers_resumed = 0;
@@ -183,8 +214,26 @@ struct SchedulerTotals {
   std::uint64_t pool_misses = 0;
   std::uint64_t pool_bytes = 0;
 
+  static constexpr auto fields() {
+    using F = support::Field<SchedulerTotals, std::uint64_t>;
+    return std::array{
+        F{"fibers_run", &SchedulerTotals::fibers_run},
+        F{"fibers_resumed", &SchedulerTotals::fibers_resumed},
+        F{"steal_attempts", &SchedulerTotals::steal_attempts},
+        F{"steal_successes", &SchedulerTotals::steal_successes},
+        F{"steal_failed_rounds", &SchedulerTotals::steal_failed_rounds},
+        F{"parks", &SchedulerTotals::parks},
+        F{"unparks", &SchedulerTotals::unparks},
+        F{"run_ns", &SchedulerTotals::run_ns},
+        F{"pool_acquires", &SchedulerTotals::pool_acquires},
+        F{"pool_hits", &SchedulerTotals::pool_hits},
+        F{"pool_misses", &SchedulerTotals::pool_misses},
+        F{"pool_bytes", &SchedulerTotals::pool_bytes},
+    };
+  }
+
   void add(const SchedulerReport& report);
-  void add(const SchedulerTotals& other);
+  void add(const SchedulerTotals& other) { support::add(*this, other); }
 };
 
 /// One sampler tick of one carrier.  `fibers_run` / `steal_successes`

@@ -159,8 +159,8 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
   const bool prof_pooled = prof_on && engine == ExecutionEngine::kPooled;
   if (prof_pooled) executor_prof_prepare();
   const ProfActivation prof_active(prof_on);
-  const RegistrySnapshot prof_before =
-      prof_on ? prof_snapshot() : RegistrySnapshot{};
+  const std::vector<CarrierReport> prof_before =
+      prof_on ? prof_snapshot() : std::vector<CarrierReport>{};
   const PoolCounters pool_before =
       prof_on ? prof_pool_counters() : PoolCounters{};
   std::unique_ptr<ProfSampler> sampler;
@@ -172,7 +172,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
 
   std::exception_ptr first_failure;
   const SettleCounters settle_before = settle_counters();
-  const std::uint64_t inline_before = inline_settle_adds();
   const FusionCounters fusion_before = fusion_counters();
   const auto wall_start = std::chrono::steady_clock::now();
   if (engine == ExecutionEngine::kPooled) {
@@ -205,32 +204,9 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
   result.trace = std::move(trace);
   // Counter deltas over the run window (process-wide atomics; see the
   // RunResult field comments for the concurrency caveat).
-  {
-    const SettleCounters s = settle_counters();
-    result.settle.closed_runs = s.closed_runs - settle_before.closed_runs;
-    result.settle.closed_adds = s.closed_adds - settle_before.closed_adds;
-    result.settle.memo_hits = s.memo_hits - settle_before.memo_hits;
-    result.settle.memo_misses = s.memo_misses - settle_before.memo_misses;
-    result.settle.memo_adds = s.memo_adds - settle_before.memo_adds;
-    result.settle.probe_adds = s.probe_adds - settle_before.probe_adds;
-    result.settle.chain_records =
-        s.chain_records - settle_before.chain_records;
-    result.settle.chain_adds = s.chain_adds - settle_before.chain_adds;
-    result.gang.inline_adds = inline_settle_adds() - inline_before;
-    const FusionCounters f = fusion_counters();
-    result.fusion.seen = f.seen - fusion_before.seen;
-    result.fusion.fused = f.fused - fusion_before.fused;
-    result.fusion.rejected_shape =
-        f.rejected_shape - fusion_before.rejected_shape;
-    result.fusion.rejected_order =
-        f.rejected_order - fusion_before.rejected_order;
-    result.fusion.rejected_path =
-        f.rejected_path - fusion_before.rejected_path;
-    result.fusion.barriers_eliminated =
-        f.barriers_eliminated - fusion_before.barriers_eliminated;
-    result.fusion.tapes_eliminated =
-        f.tapes_eliminated - fusion_before.tapes_eliminated;
-  }
+  result.settle = support::sub(settle_counters(), settle_before);
+  result.gang.inline_adds = result.settle.inline_adds;
+  result.fusion = support::sub(fusion_counters(), fusion_before);
   if (prof_on) {
     if (sampler) result.prof = sampler->stop();
     SchedulerReport& sched = result.scheduler;
@@ -243,36 +219,12 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     // (the registry never shrinks, so stale wider lanes are all-zero).
     const int carriers = prof_pooled ? executor_carriers() : 0;
     sched.carriers = carriers;
-    const RegistrySnapshot after = prof_snapshot();
-    for (int i = 0;
-         i < carriers && i < static_cast<int>(after.lanes.size()); ++i) {
-      const RegistrySnapshot::Lane before =
-          i < static_cast<int>(prof_before.lanes.size())
-              ? prof_before.lanes[static_cast<std::size_t>(i)]
-              : RegistrySnapshot::Lane{};
-      const RegistrySnapshot::Lane& now =
-          after.lanes[static_cast<std::size_t>(i)];
-      CarrierReport lane;
-      lane.fibers_run = now.fibers_run - before.fibers_run;
-      lane.fibers_resumed = now.fibers_resumed - before.fibers_resumed;
-      lane.steal_attempts = now.steal_attempts - before.steal_attempts;
-      lane.steal_successes = now.steal_successes - before.steal_successes;
-      lane.steal_failed_rounds =
-          now.steal_failed_rounds - before.steal_failed_rounds;
-      lane.parks = now.parks - before.parks;
-      lane.unparks = now.unparks - before.unparks;
-      lane.run_ns = now.run_ns - before.run_ns;
-      sched.per_carrier.push_back(lane);
-    }
-    const PoolCounters pool_after = prof_pool_counters();
-    sched.pool.acquires = pool_after.acquires - pool_before.acquires;
-    sched.pool.hits = pool_after.hits - pool_before.hits;
-    sched.pool.misses = pool_after.misses - pool_before.misses;
-    sched.pool.bytes = pool_after.bytes - pool_before.bytes;
-    // Tape-memo stats are already exact per-run deltas (SettleCounters
-    // above); surfaced here so the scheduler report is self-contained.
-    sched.memo_hits = result.settle.memo_hits;
-    sched.memo_misses = result.settle.memo_misses;
+    const std::vector<CarrierReport> after = prof_snapshot();
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(carriers) && i < after.size(); ++i)
+      sched.per_carrier.push_back(support::sub(
+          after[i], i < prof_before.size() ? prof_before[i] : CarrierReport{}));
+    sched.pool = support::sub(prof_pool_counters(), pool_before);
     sched.samples =
         result.prof ? static_cast<std::uint64_t>(result.prof->samples.size())
                     : 0;

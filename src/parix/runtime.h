@@ -105,14 +105,12 @@ struct RunResult {
   /// process see each other's activity; single-run processes (tests,
   /// the forked bench cells) read them as exact per-run numbers.
   SettleCounters settle;
+  /// Stays for the benchmark harness: gang_adds is always 0 and
+  /// inline_adds repeats settle.inline_adds.
   struct SettleAdds {
-    /// Always 0; stays for the benchmark harness.
     std::uint64_t gang_adds = 0;
-    /// Adds SKIL_SETTLE=chain executed; stays for the benchmark harness.
     std::uint64_t inline_adds = 0;
   };
-  /// Chain-mode settlement adds over this run, same caveat.  The
-  /// member name stays for the benchmark harness.
   SettleAdds gang;
   /// Fusion-counter delta over this run, same caveat.  All zero under
   /// FuseMode::kOff (the off path never consults the fused variants).

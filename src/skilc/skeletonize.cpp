@@ -52,41 +52,13 @@ namespace skil::skilc {
 namespace m = matchers;
 
 std::string SkeletonizeCounters::render_json() const {
-  std::ostringstream os;
-  os << "{\"loops_seen\": " << loops_seen
-     << ", \"recognized_map\": " << recognized_map
-     << ", \"recognized_fold\": " << recognized_fold
-     << ", \"recognized_gen_mult\": " << recognized_gen_mult
-     << ", \"rejected_header\": " << rejected_header
-     << ", \"rejected_stride\": " << rejected_stride
-     << ", \"rejected_induction\": " << rejected_induction
-     << ", \"rejected_carried\": " << rejected_carried
-     << ", \"rejected_indirect\": " << rejected_indirect
-     << ", \"rejected_impure\": " << rejected_impure
-     << ", \"rejected_bounds\": " << rejected_bounds
-     << ", \"rejected_accumulator\": " << rejected_accumulator
-     << ", \"rejected_shape\": " << rejected_shape
-     << ", \"recognized\": " << recognized()
-     << ", \"rejected\": " << rejected() << "}";
-  return os.str();
-}
-
-SkeletonizeCounters& SkeletonizeCounters::operator+=(
-    const SkeletonizeCounters& other) {
-  loops_seen += other.loops_seen;
-  recognized_map += other.recognized_map;
-  recognized_fold += other.recognized_fold;
-  recognized_gen_mult += other.recognized_gen_mult;
-  rejected_header += other.rejected_header;
-  rejected_stride += other.rejected_stride;
-  rejected_induction += other.rejected_induction;
-  rejected_carried += other.rejected_carried;
-  rejected_indirect += other.rejected_indirect;
-  rejected_impure += other.rejected_impure;
-  rejected_bounds += other.rejected_bounds;
-  rejected_accumulator += other.rejected_accumulator;
-  rejected_shape += other.rejected_shape;
-  return *this;
+  std::string json;
+  support::JsonObject(json, true)
+      .fields(*this)
+      .num("recognized", recognized())
+      .num("rejected", rejected())
+      .close();
+  return json;
 }
 
 namespace {

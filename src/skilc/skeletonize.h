@@ -46,10 +46,12 @@
 // map adjacent to a written skeleton call fuses like any other.
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "skilc/ast.h"
 #include "skilc/diagnostics.h"
+#include "support/fields.h"
 
 namespace skil::skilc {
 
@@ -88,12 +90,33 @@ struct SkeletonizeCounters {
            rejected_bounds + rejected_accumulator + rejected_shape;
   }
 
+  static constexpr auto fields() {
+    using F = support::Field<SkeletonizeCounters, int>;
+    return std::array{
+        F{"loops_seen", &SkeletonizeCounters::loops_seen},
+        F{"recognized_map", &SkeletonizeCounters::recognized_map},
+        F{"recognized_fold", &SkeletonizeCounters::recognized_fold},
+        F{"recognized_gen_mult", &SkeletonizeCounters::recognized_gen_mult},
+        F{"rejected_header", &SkeletonizeCounters::rejected_header},
+        F{"rejected_stride", &SkeletonizeCounters::rejected_stride},
+        F{"rejected_induction", &SkeletonizeCounters::rejected_induction},
+        F{"rejected_carried", &SkeletonizeCounters::rejected_carried},
+        F{"rejected_indirect", &SkeletonizeCounters::rejected_indirect},
+        F{"rejected_impure", &SkeletonizeCounters::rejected_impure},
+        F{"rejected_bounds", &SkeletonizeCounters::rejected_bounds},
+        F{"rejected_accumulator", &SkeletonizeCounters::rejected_accumulator},
+        F{"rejected_shape", &SkeletonizeCounters::rejected_shape},
+    };
+  }
+
   /// Stable-key JSON object, e.g. {"loops_seen": 3, ...,
   /// "recognized": 2, "rejected": 1} (the skil-lint report block).
   std::string render_json() const;
 
   /// Field-wise sum (skil-lint totals counters across input files).
-  SkeletonizeCounters& operator+=(const SkeletonizeCounters& other);
+  SkeletonizeCounters& operator+=(const SkeletonizeCounters& other) {
+    return support::add(*this, other);
+  }
 };
 
 /// Rewrites every recognized loop of the *type-checked* program into

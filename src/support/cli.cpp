@@ -1,8 +1,10 @@
 #include "support/cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace skil::support {
 
@@ -24,9 +26,9 @@ namespace {
 }  // namespace
 
 Cli::Cli(int argc, char** argv, std::vector<std::string> allowed)
-    : program_(argc > 0 ? argv[0] : "") {
+    : program_(argc > 0 ? argv[0] : ""), allowed_(std::move(allowed)) {
   auto permitted = [&](const std::string& name) {
-    return std::find(allowed.begin(), allowed.end(), name) != allowed.end();
+    return std::find(allowed_.begin(), allowed_.end(), name) != allowed_.end();
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -47,9 +49,9 @@ Cli::Cli(int argc, char** argv, std::vector<std::string> allowed)
       // the following token when one is present).
       value = argv[++i];
     }
-    if (name == "help") usage_exit(program_, allowed, "");
+    if (name == "help") usage_exit(program_, allowed_, "");
     if (!permitted(name))
-      usage_exit(program_, allowed, "unknown command-line flag: --" + name);
+      usage_exit(program_, allowed_, "unknown command-line flag: --" + name);
     values_[name] = value;
   }
 }
@@ -62,20 +64,47 @@ std::string Cli::get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+void Cli::bad_value(const std::string& name, const char* kind) const {
+  usage_exit(program_, allowed_,
+             "--" + name + " needs " + kind + ", got '" + get(name, "") + "'");
+}
+
+namespace {
+
+/// Parses all of `text` as a T; false on empty, malformed, trailing
+/// characters or out of range.
+template <class T>
+bool parse_whole(const std::string& text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 int Cli::get_int(const std::string& name, int fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  int value = 0;
+  if (!parse_whole(it->second, value)) bad_value(name, "an integer");
+  return value;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  double value = 0.0;
+  if (!parse_whole(it->second, value)) bad_value(name, "a number");
+  return value;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  bad_value(name, "true/false/1/0/yes/no");
 }
 
 }  // namespace skil::support

@@ -1,10 +1,10 @@
 // Minimal command-line flag parsing for bench and example binaries.
 //
 // Accepted syntax: --name=value, --name value, --flag (boolean true).
-// --help and unknown flags print the usage line (program name and
-// accepted flags) to stderr and exit with status 2, so typos in
-// benchmark invocations are caught instead of silently running the
-// default configuration.
+// --help, unknown flags and malformed values print the usage line
+// (program name and accepted flags) to stderr and exit with status 2,
+// so typos in benchmark invocations are caught instead of silently
+// running the default configuration.
 #pragma once
 
 #include <map>
@@ -22,6 +22,9 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Typed getters: a value that is empty, malformed, has trailing
+  /// characters or is out of range exits with status 2.  Booleans are
+  /// true/false/1/0/yes/no.
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
@@ -33,7 +36,10 @@ class Cli {
   const std::string& program() const { return program_; }
 
  private:
+  [[noreturn]] void bad_value(const std::string& name, const char* kind) const;
+
   std::string program_;
+  std::vector<std::string> allowed_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

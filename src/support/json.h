@@ -2,7 +2,8 @@
 // output (metrics JSON, bench reports).
 //
 // The repo deliberately carries no third-party JSON dependency: the
-// writers (parix/metrics.cpp, bench_engine_wall.cpp) emit JSON by
+// writers (parix/metrics.cpp, bench_engine_wall.cpp, with
+// support/fields.h's JsonObject for the counter blocks) emit JSON by
 // hand, and this is the matching hand-rolled reader -- a small
 // recursive-descent parser over the full JSON grammar, returning a
 // tagged tree.  It favours clarity over speed; the inputs are

@@ -500,7 +500,7 @@ TEST(SettleModeGolden, AllModesReproduceGoldenValuesBitForBit) {
     SCOPED_TRACE(settle_mode_name(mode));
     set_default_settle_mode(mode);
     const SettleCounters before = settle_counters();
-    const std::uint64_t chain_before = inline_settle_adds();
+    const std::uint64_t chain_before = settle_counters().inline_adds;
     for (const GoldenCase& c : golden_cases()) {
       SCOPED_TRACE(c.name);
       const RunResult r = with_charge_path(ChargePath::kTape, [&] {
@@ -513,7 +513,7 @@ TEST(SettleModeGolden, AllModesReproduceGoldenValuesBitForBit) {
     }
     const SettleCounters after = settle_counters();
     if (mode == SettleMode::kChain) {
-      EXPECT_GT(inline_settle_adds(), chain_before);
+      EXPECT_GT(settle_counters().inline_adds, chain_before);
       EXPECT_EQ(after.closed_runs, before.closed_runs);
     } else {
       EXPECT_GT(after.closed_runs, before.closed_runs);

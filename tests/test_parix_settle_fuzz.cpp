@@ -273,7 +273,7 @@ TEST(GangFuzz, RandomTapedCompositionsBitIdenticalAcrossPaths) {
   // ledgers of different processors concurrently.
   const parix::SettleMode saved_settle = parix::default_settle_mode();
   parix::set_default_settle_mode(parix::SettleMode::kChain);
-  const std::uint64_t chain_before = parix::inline_settle_adds();
+  const std::uint64_t chain_before = parix::settle_counters().inline_adds;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const ProgramSpec prog = make_program(seed * 0x9E3779B97F4A7C15ull + 1);
     SCOPED_TRACE(::testing::Message()
@@ -310,7 +310,7 @@ TEST(GangFuzz, RandomTapedCompositionsBitIdenticalAcrossPaths) {
   // The taped runs must have settled real deferred adds through the
   // chain; otherwise this test only exercised eager charging and the
   // three-way identity would be vacuous for the ledger.
-  EXPECT_GT(parix::inline_settle_adds(), chain_before);
+  EXPECT_GT(parix::settle_counters().inline_adds, chain_before);
 }
 
 TEST(GangFuzz, ClosedAndAutoSettlementBitIdenticalVsInterp) {

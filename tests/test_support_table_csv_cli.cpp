@@ -108,6 +108,51 @@ TEST(Cli, HelpPrintsUsageAndExits) {
               "usage: prog \\[--n\\] \\[--csv\\]");
 }
 
+TEST(Cli, RejectsMalformedIntegers) {
+  for (const char* arg : {"--n=", "--n=four", "--n=4x", "--n=4.5",
+                          "--n=99999999999"}) {
+    const char* argv[] = {"prog", arg};
+    const Cli cli(2, const_cast<char**>(argv), {"n"});
+    EXPECT_EXIT(cli.get_int("n", 0), ::testing::ExitedWithCode(2),
+                "--n needs an integer, got '.*'\n(.|\n)*usage: prog \\[--n\\]")
+        << arg;
+  }
+  const char* argv[] = {"prog", "--n=-12"};
+  EXPECT_EQ(Cli(2, const_cast<char**>(argv), {"n"}).get_int("n", 0), -12);
+}
+
+TEST(Cli, RejectsMalformedNumbers) {
+  for (const char* arg : {"--x=", "--x=fast", "--x=1.5s", "--x=1e999"}) {
+    const char* argv[] = {"prog", arg};
+    const Cli cli(2, const_cast<char**>(argv), {"x"});
+    EXPECT_EXIT(cli.get_double("x", 0.0), ::testing::ExitedWithCode(2),
+                "--x needs a number, got '.*'")
+        << arg;
+  }
+  const char* argv[] = {"prog", "--x=2.5e-1"};
+  EXPECT_EQ(Cli(2, const_cast<char**>(argv), {"x"}).get_double("x", 0.0),
+            0.25);
+}
+
+TEST(Cli, AcceptsOnlyKnownBooleanSpellings) {
+  for (const char* arg : {"--q=true", "--q=1", "--q=yes", "--q"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_TRUE(Cli(2, const_cast<char**>(argv), {"q"}).get_bool("q")) << arg;
+  }
+  for (const char* arg : {"--q=false", "--q=0", "--q=no"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(Cli(2, const_cast<char**>(argv), {"q"}).get_bool("q", true))
+        << arg;
+  }
+  for (const char* arg : {"--q=", "--q=on", "--q=TRUE", "--q=2"}) {
+    const char* argv[] = {"prog", arg};
+    const Cli cli(2, const_cast<char**>(argv), {"q"});
+    EXPECT_EXIT(cli.get_bool("q"), ::testing::ExitedWithCode(2),
+                "--q needs true/false/1/0/yes/no, got '.*'")
+        << arg;
+  }
+}
+
 TEST(Cli, CollectsPositionalArguments) {
   const char* argv[] = {"prog", "first", "--n=1", "second"};
   Cli cli(4, const_cast<char**>(argv), {"n"});
