@@ -9,12 +9,14 @@
 //
 // With --skeletonize the auto-skeletonization pass (DESIGN.md section
 // 16) rewrites recognized sequential loops into skeleton calls before
-// translation, and a summary of its decisions is printed.
+// translation, and a summary of its decisions is printed.  --help and
+// unknown flags print the usage line and exit 2 (support::Cli).
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "skilc/compiler.h"
+#include "support/cli.h"
 #include "support/error.h"
 
 namespace {
@@ -47,16 +49,11 @@ void threshold_all (float t, array <float> A, array <int> B) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const skil::support::Cli cli(argc, argv, {}, {"skeletonize"});
   skil::skilc::CompileOptions options;
-  const char* path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--skeletonize") {
-      options.skeletonize = true;
-    } else {
-      path = argv[i];
-    }
-  }
+  options.skeletonize = cli.get_bool("skeletonize");
+  const char* path =
+      cli.positional().empty() ? nullptr : cli.positional().back().c_str();
 
   std::string source;
   if (path != nullptr) {

@@ -30,7 +30,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -407,12 +410,34 @@ void broadcast_ring_chain(Proc& proc, const Topology& topo, int root_hw,
   }
 }
 
+/// What one member of the replayed ring-pipelined broadcast hands its
+/// successor in a single schedule message: the root's buffer, shared
+/// read-only, plus per chunk the modeled message's wire size, arrival
+/// stamp and trace sequence number.
+template <class U>
+struct RingPipeSchedule {
+  std::shared_ptr<const std::vector<U>> data;
+  std::array<std::size_t, kBcastChunks> bytes{};
+  std::array<double, kBcastChunks> arrival{};
+  std::array<std::uint32_t, kBcastChunks> trace_seq{};
+};
+
 /// Ring-pipelined broadcast for large vectors: the buffer is split
 /// into kBcastChunks chunks which the root streams down the ring
 /// chain; every member forwards chunk c before receiving chunk c+1,
 /// so all ring edges carry data concurrently and the bandwidth term
 /// is ~beta*n instead of beta*n*log p.  The chunk count is fixed, so
 /// non-root members need no size header; empty chunks are legal.
+///
+/// The chunk messages are modeled, not sent (DESIGN.md section 15,
+/// "Schedule replay"): nothing is charged between the steps of the
+/// pipeline, so a member's clocks after it are a pure function of its
+/// clocks before it and the chunks' arrival stamps.  Each member
+/// takes one schedule message from its predecessor, replays
+/// stamp_recv/stamp_send for every chunk in the order the chunk
+/// messages would have taken, and posts one schedule message on.  The
+/// row itself moves once: the root publishes one shared copy and every
+/// member copies it out.
 template <class U>
 void broadcast_ring_pipelined(Proc& proc, const Topology& topo, int root_hw,
                               std::vector<U>& value, CollOp ctx) {
@@ -421,31 +446,47 @@ void broadcast_ring_pipelined(Proc& proc, const Topology& topo, int root_hw,
   if (w.p < 2) return;
   static_assert(kBcastChunks <= Proc::kTagStride,
                 "one sub-tag per chunk must fit the tag stride");
+  RingPipeSchedule<U> s;
+  const int src = w.rel > 0 ? w.hw(w.rel - 1) : -1;
   if (w.rel == 0) {
+    s.data = std::make_shared<const std::vector<U>>(value);
     const std::size_t n = value.size();
-    for (int c = 0; c < kBcastChunks; ++c) {
-      const std::size_t lo = n * static_cast<std::size_t>(c) / kBcastChunks;
-      const std::size_t hi =
-          n * (static_cast<std::size_t>(c) + 1) / kBcastChunks;
-      std::vector<U> chunk(value.begin() + static_cast<std::ptrdiff_t>(lo),
-                           value.begin() + static_cast<std::ptrdiff_t>(hi));
-      coll_send<std::vector<U>>(proc, topo, ctx, w.hw(1), tag + c,
-                                std::move(chunk));
-    }
+    auto chunk_start = [&](int c) {
+      return value.cbegin() + static_cast<std::ptrdiff_t>(
+                                  n * static_cast<std::size_t>(c) /
+                                  kBcastChunks);
+    };
+    for (int c = 0; c < kBcastChunks; ++c)
+      s.bytes[c] = payload_bytes_range(chunk_start(c), chunk_start(c + 1));
   } else {
-    std::vector<U> assembled;
-    for (int c = 0; c < kBcastChunks; ++c) {
-      std::vector<U> chunk =
-          proc.recv<std::vector<U>>(w.hw(w.rel - 1), tag + c);
-      if (w.rel + 1 < w.p)
-        coll_send<std::vector<U>>(proc, topo, ctx, w.hw(w.rel + 1), tag + c,
-                                  chunk);
-      assembled.insert(assembled.end(),
-                       std::make_move_iterator(chunk.begin()),
-                       std::make_move_iterator(chunk.end()));
-    }
-    value = std::move(assembled);
+    s = proc.take_schedule<RingPipeSchedule<U>>(src, tag);
   }
+  const bool forward = w.rel + 1 < w.p;
+  const int dst = forward ? w.hw(w.rel + 1) : -1;
+  const int hops = forward ? topo.hops(proc.id(), dst) : 0;
+  const SendMode mode = proc.cost().default_send_mode;
+  for (int c = 0; c < kBcastChunks; ++c) {
+    const long chunk_tag = tag + c;
+    if (w.rel > 0)
+      proc.stamp_recv(src, chunk_tag, s.bytes[c], s.arrival[c],
+                      s.trace_seq[c]);
+    if (forward) {
+      const Proc::SendStamp stamp =
+          proc.stamp_send(dst, chunk_tag, s.bytes[c], mode, hops);
+      s.arrival[c] = stamp.arrival;
+      s.trace_seq[c] = stamp.trace_seq;
+    }
+  }
+  const std::shared_ptr<const std::vector<U>> data = s.data;
+  if (forward) {
+    CollectiveCounters& cc = proc.coll_counters();
+    for (const std::size_t b : s.bytes) cc.bytes[static_cast<int>(ctx)] += b;
+    cc.hops[static_cast<int>(ctx)] +=
+        static_cast<std::uint64_t>(kBcastChunks) *
+        static_cast<std::uint64_t>(hops);
+    proc.post_schedule(dst, tag, std::move(s));
+  }
+  if (w.rel > 0) value.assign(data->begin(), data->end());
   note_steps(proc, ctx, kBcastChunks);
 }
 

@@ -420,10 +420,13 @@ void Scheduler::detect_deadlock_locked(std::unique_lock<std::mutex>& lock) {
   // is parked with no wake in flight, by the checks above.
   lock.unlock();
   {
+    // Notify under done_mutex: once the waiter sees the flag it may
+    // poison, let the fibers finish and destroy `run` (it lives on
+    // its stack), so the cv must not be touched after the unlock.
     const std::scoped_lock done_lock(run->done_mutex);
     run->deadlock_detected = true;
+    run->done_cv.notify_one();
   }
-  run->done_cv.notify_one();
   lock.lock();
 }
 
@@ -492,6 +495,10 @@ void Scheduler::worker_main(int index) {
       case FiberState::kFinished:
         // Safe to recycle: the fiber has left its stack for good.
         free_fibers_.push_back(fiber);
+        // If it was the last live fiber not parked, the rest wait for
+        // messages nobody can send any more: a finish can complete a
+        // deadlock just like a park can.
+        detect_deadlock_locked(lock);
         break;
       case FiberState::kParking:
         if (fiber->notify_pending) {

@@ -17,6 +17,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -35,10 +36,22 @@ std::size_t payload_bytes(const T&) {
   return sizeof(T);
 }
 
+/// Wire size of a vector holding the elements [first, last) of
+/// another: the vector overloads below are this over the whole range,
+/// and the replayed ring broadcast prices its chunks with it without
+/// building them.
+template <class It>
+  requires std::is_trivially_copyable_v<std::iter_value_t<It>>
+std::size_t payload_bytes_range(It first, It last) {
+  return static_cast<std::size_t>(last - first) *
+             sizeof(std::iter_value_t<It>) +
+         8;
+}
+
 template <class T>
   requires std::is_trivially_copyable_v<T>
 std::size_t payload_bytes(const std::vector<T>& v) {
-  return v.size() * sizeof(T) + 8;
+  return payload_bytes_range(v.begin(), v.end());
 }
 
 inline std::size_t payload_bytes(const std::string& s) {
@@ -61,6 +74,23 @@ inline constexpr bool builtin_wire_element_v<std::vector<T>> =
 /// Vectors of non-trivially-copyable elements (vector<string>,
 /// vector<vector<T>>, vector of an ADL-priced user type, ...): a
 /// length header plus the wire size of every element, recursively.
+/// Declared here so the range overload below can recurse into it.
+template <class T>
+  requires(!std::is_trivially_copyable_v<T> &&
+           (builtin_wire_element_v<T> ||
+            requires(const T& t) {
+              { payload_bytes(t) } -> std::convertible_to<std::size_t>;
+            }))
+std::size_t payload_bytes(const std::vector<T>& v);
+
+template <class It>
+  requires(!std::is_trivially_copyable_v<std::iter_value_t<It>>)
+std::size_t payload_bytes_range(It first, It last) {
+  std::size_t total = 8;
+  for (; first != last; ++first) total += payload_bytes(*first);
+  return total;
+}
+
 template <class T>
   requires(!std::is_trivially_copyable_v<T> &&
            (builtin_wire_element_v<T> ||
@@ -68,9 +98,7 @@ template <class T>
               { payload_bytes(t) } -> std::convertible_to<std::size_t>;
             }))
 std::size_t payload_bytes(const std::vector<T>& v) {
-  std::size_t total = 8;
-  for (const auto& elem : v) total += payload_bytes(elem);
-  return total;
+  return payload_bytes_range(v.begin(), v.end());
 }
 
 /// Satisfied by every type the message layer can price.  make_message

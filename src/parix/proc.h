@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "parix/charge_tape.h"
@@ -130,13 +132,8 @@ class Proc {
     stats_.compute_us += us;
   }
 
-  /// Sends `value` to processor `dst` under `tag`.
-  ///
-  /// Asynchronous mode (Parix with virtual topologies, the mode Skil's
-  /// skeletons use): the sender pays only the software startup cost and
-  /// the transfer overlaps its further computation.  Synchronous mode
-  /// (the "older C version" of paper section 5.1): the sender's clock
-  /// advances to the delivery time.
+  /// Sends `value` to processor `dst` under `tag`, in the cost model's
+  /// default send mode (priced by stamp_send).
   template <class T>
   void send(int dst, long tag, T value) {
     send_mode(dst, tag, std::move(value), cost().default_send_mode);
@@ -165,13 +162,8 @@ class Proc {
              dst, mode);
   }
 
-  /// Receives a value of type T from `src` under `tag`.  The virtual
-  /// clock advances to the later of (local time + receive overhead) and
-  /// the message's delivery time.  Deliveries into one processor
-  /// serialise on its incoming links: a message cannot finish arriving
-  /// while a previous one is still streaming in, so back-to-back
-  /// arrivals queue up (this is what makes flat gathers onto one root
-  /// lose to the paper's tree folds on larger networks).
+  /// Receives a value of type T from `src` under `tag`: blocks for the
+  /// matching message, then prices it with stamp_recv.
   template <class T>
   T recv(int src, long tag) {
     SKIL_ASSERT(src >= 0 && src < nprocs_,
@@ -180,13 +172,76 @@ class Proc {
     SKIL_ASSERT(msg.type != nullptr && *msg.type == typeid(T),
                 std::string("recv: payload type mismatch for tag ") +
                     std::to_string(tag));
+    stamp_recv(src, tag, msg.bytes, msg.arrival_vtime, msg.trace_seq);
+    return take_payload<T>(msg);
+  }
+
+  /// What stamp_send hands the receiving side of a modeled message.
+  struct SendStamp {
+    double arrival = 0.0;         ///< virtual delivery timestamp
+    std::uint32_t trace_seq = 0;  ///< sender's trace seq (full tracing)
+  };
+
+  /// Prices one modeled message of `bytes` wire bytes to `dst`, `hops`
+  /// mesh hops away, on this processor: the clock, Stats, outgoing
+  /// link channels and the SKIL_TRACE=full send event.  Asynchronous
+  /// mode (Parix with virtual topologies, the mode Skil's skeletons
+  /// use): the sender pays only the software startup cost and the
+  /// transfer overlaps its further computation.  Synchronous mode (the
+  /// "older C version" of paper section 5.1): the sender's clock
+  /// advances to the delivery time.  Every send is priced here; the
+  /// arithmetic sequence is the vtime artefact -- do not reorder.
+  SendStamp stamp_send(int dst, long tag, std::size_t bytes, SendMode mode,
+                       int hops) {
+    // Sending observes the clock (the startup charge below): settle.
+    maybe_settle();
+    // Software startup on the sender, then the first hop occupies one
+    // of the node's four outgoing link channels: a burst of sends from
+    // one processor serialises once all channels are streaming (this
+    // is what makes a flat "send to everyone" broadcast degrade on
+    // large networks, unlike the skeletons' trees).
+    const double ready = vtime_ + cost().msg_startup_us;
+    const double first_hop_us =
+        cost().msg_per_byte_us * static_cast<double>(bytes);
+    double& channel = earliest(out_links_);
+    const double link_start = std::max(ready, channel);
+    channel = link_start + first_hop_us;
+    // Remaining hops: store-and-forward through intermediate nodes.
+    SendStamp stamp;
+    stamp.arrival = link_start + cost().transfer_us(bytes, hops) -
+                    cost().msg_startup_us;
+    const double sender_done = mode == SendMode::kSync ? stamp.arrival : ready;
+    if (trace_ != nullptr) [[unlikely]] {
+      if (trace_->full()) {
+        stamp.trace_seq = trace_->alloc_send_seq();
+        trace_->record_send(vtime_, sender_done, dst, tag, bytes,
+                            stamp.trace_seq);
+      }
+    }
+    stats_.comm_us += sender_done - vtime_;
+    vtime_ = sender_done;
+    stats_.messages_sent += 1;
+    stats_.bytes_sent += bytes;
+    return stamp;
+  }
+
+  /// Prices the receipt of one modeled message from `src`, stamped by
+  /// the sender's stamp_send: the clock advances to the later of
+  /// (local time + receive overhead) and the delivery time.
+  /// Deliveries into one processor serialise on its incoming links: a
+  /// message cannot finish arriving while a previous one is still
+  /// streaming in, so back-to-back arrivals queue up (this is what
+  /// makes flat gathers onto one root lose to the paper's tree folds
+  /// on larger networks).  Every receive is priced here.
+  void stamp_recv(int src, long tag, std::size_t bytes, double arrival,
+                  std::uint32_t trace_seq) {
     // The receive arithmetic below observes the clock: settle first.
     maybe_settle();
     const double last_hop_us =
-        cost().msg_per_byte_us * static_cast<double>(msg.bytes);
+        cost().msg_per_byte_us * static_cast<double>(bytes);
     double& channel = earliest(in_links_);
     const double queued = channel + last_hop_us;
-    const double delivered = std::max(msg.arrival_vtime, queued);
+    const double delivered = std::max(arrival, queued);
     channel = delivered;
     const double ready =
         std::max(vtime_ + cost().recv_overhead_us, delivered);
@@ -198,16 +253,42 @@ class Proc {
         // either choice yields a maximal chain).
         const RecvBound bound =
             vtime_ + cost().recv_overhead_us >= delivered ? RecvBound::kLocal
-            : msg.arrival_vtime >= queued                 ? RecvBound::kArrival
+            : arrival >= queued                           ? RecvBound::kArrival
                                                           : RecvBound::kChannel;
-        trace_->record_recv(vtime_, ready, src, tag, msg.bytes,
-                            msg.trace_seq, bound);
+        trace_->record_recv(vtime_, ready, src, tag, bytes, trace_seq, bound);
       }
     }
     stats_.comm_us += ready - vtime_;
     vtime_ = ready;
     stats_.messages_received += 1;
-    stats_.bytes_received += msg.bytes;
+    stats_.bytes_received += bytes;
+  }
+
+  /// Posts an unpriced *schedule message* to `dst`: `value` travels
+  /// through the mailbox like any message, so blocking, poisoning and
+  /// the pooled engine's deadlock detection apply unchanged, but the
+  /// cost model never sees it -- no clock, Stats, link channel or
+  /// trace event moves.  Collectives that evaluate their modeled
+  /// messages with stamp_send/stamp_recv use it to hand the stamps on
+  /// (DESIGN.md section 15, "Schedule replay").
+  template <class T>
+  void post_schedule(int dst, long tag, T value) {
+    Message msg;
+    msg.src = id_;
+    msg.tag = tag;
+    msg.type = &typeid(T);
+    msg.payload = std::make_shared<T>(std::move(value));
+    machine_->mailbox(dst).put(std::move(msg));
+  }
+
+  /// Takes the schedule message `src` posted under `tag`, blocking
+  /// like recv but pricing nothing.
+  template <class T>
+  T take_schedule(int src, long tag) {
+    Message msg = machine_->blocking_get(id_, src, tag);
+    SKIL_ASSERT(msg.type != nullptr && *msg.type == typeid(T),
+                std::string("take_schedule: payload type mismatch for tag ") +
+                    std::to_string(tag));
     return take_payload<T>(msg);
   }
 
@@ -319,40 +400,12 @@ class Proc {
   /// ledger in the configured SettleMode.
   void settle_pending();
 
-  /// Timestamping and accounting shared by every send flavour.  The
-  /// arithmetic sequence here is the vtime artefact -- do not reorder.
+  /// Prices `msg` with stamp_send and posts it to `dst`'s mailbox.
   void dispatch(Message msg, int dst, SendMode mode) {
-    // Sending observes the clock (the startup charge below): settle.
-    maybe_settle();
-    const int hops = machine_->hops(id_, dst);
-    // Software startup on the sender, then the first hop occupies one
-    // of the node's four outgoing link channels: a burst of sends from
-    // one processor serialises once all channels are streaming (this
-    // is what makes a flat "send to everyone" broadcast degrade on
-    // large networks, unlike the skeletons' trees).
-    const double ready = vtime_ + cost().msg_startup_us;
-    const double first_hop_us =
-        cost().msg_per_byte_us * static_cast<double>(msg.bytes);
-    double& channel = earliest(out_links_);
-    const double link_start = std::max(ready, channel);
-    channel = link_start + first_hop_us;
-    // Remaining hops: store-and-forward through intermediate nodes.
-    const double arrival = link_start +
-                           cost().transfer_us(msg.bytes, hops) -
-                           cost().msg_startup_us;
-    msg.arrival_vtime = arrival;
-    const double sender_done = mode == SendMode::kSync ? arrival : ready;
-    if (trace_ != nullptr) [[unlikely]] {
-      if (trace_->full()) {
-        msg.trace_seq = trace_->alloc_send_seq();
-        trace_->record_send(vtime_, sender_done, dst, msg.tag, msg.bytes,
-                            msg.trace_seq);
-      }
-    }
-    stats_.comm_us += sender_done - vtime_;
-    vtime_ = sender_done;
-    stats_.messages_sent += 1;
-    stats_.bytes_sent += msg.bytes;
+    const SendStamp stamp = stamp_send(dst, msg.tag, msg.bytes, mode,
+                                       machine_->hops(id_, dst));
+    msg.arrival_vtime = stamp.arrival;
+    msg.trace_seq = stamp.trace_seq;
     machine_->mailbox(dst).put(std::move(msg));
   }
 

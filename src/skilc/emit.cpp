@@ -1,10 +1,27 @@
 #include "skilc/emit.h"
 
+#include <array>
+#include <charconv>
 #include <sstream>
 
 #include "support/error.h"
 
 namespace skil::skilc {
+
+std::string float_literal(double value) {
+  // Shortest fixed-notation digits that parse back to the same double
+  // (never more significant digits than max_digits10): the lexer reads
+  // float literals as digits '.' digits, with no exponent.
+  std::array<char, 400> buf;
+  const auto [end, ec] =
+      std::to_chars(buf.data(), buf.data() + buf.size(), value,
+                    std::chars_format::fixed);
+  SKIL_ASSERT(ec == std::errc(), "float_literal: value out of range");
+  std::string text(buf.data(), end);
+  // "1" would re-lex as an int literal; keep the decimal point.
+  if (text.find('.') == std::string::npos) text += ".0";
+  return text;
+}
 
 std::string mangle_type(const TypePtr& type) {
   switch (type->kind) {
@@ -55,7 +72,7 @@ void emit(const Expr& expr, std::ostream& os, int parent_prec) {
       os << expr.int_value;
       return;
     case Expr::Kind::kFloatLit:
-      os << expr.float_value;
+      os << float_literal(expr.float_value);
       return;
     case Expr::Kind::kName:
       os << expr.name;

@@ -16,6 +16,10 @@
 
 namespace skil::skilc {
 
+/// Spelling of a float literal that reads back bit-exactly and keeps
+/// its decimal point (1.0 -> "1.0", 3.14159265 -> "3.14159265").
+std::string float_literal(double value);
+
 /// Mangled C name of a monomorphic type (array <float> -> floatarray).
 std::string mangle_type(const TypePtr& type);
 

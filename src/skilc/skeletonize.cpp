@@ -36,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "skilc/analyze.h"
 #include "skilc/cfg.h"
 #include "skilc/dataflow.h"
+#include "skilc/emit.h"
 #include "skilc/matchers.h"
 #include "skilc/parser.h"
 
@@ -74,11 +74,8 @@ std::string spell_expr(const Expr& e) {
   switch (e.kind) {
     case Expr::Kind::kIntLit:
       return std::to_string(e.int_value);
-    case Expr::Kind::kFloatLit: {
-      std::ostringstream os;
-      os << e.float_value;
-      return os.str();
-    }
+    case Expr::Kind::kFloatLit:
+      return float_literal(e.float_value);
     case Expr::Kind::kName:
       return e.name;
     case Expr::Kind::kSection:

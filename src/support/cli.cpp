@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -25,10 +26,17 @@ namespace {
 
 }  // namespace
 
-Cli::Cli(int argc, char** argv, std::vector<std::string> allowed)
+Cli::Cli(int argc, char** argv, std::vector<std::string> allowed,
+         const std::vector<std::string>& switches)
     : program_(argc > 0 ? argv[0] : ""), allowed_(std::move(allowed)) {
+  const std::size_t valued = allowed_.size();
+  allowed_.insert(allowed_.end(), switches.begin(), switches.end());
   auto permitted = [&](const std::string& name) {
     return std::find(allowed_.begin(), allowed_.end(), name) != allowed_.end();
+  };
+  auto takes_value = [&](const std::string& name) {
+    const auto end = allowed_.begin() + static_cast<std::ptrdiff_t>(valued);
+    return std::find(allowed_.begin(), end, name) != end;
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -43,10 +51,9 @@ Cli::Cli(int argc, char** argv, std::vector<std::string> allowed)
       name = arg.substr(0, eq);
       value = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0 &&
-               permitted(name)) {
-      // "--name value" form: consume the next token as the value unless
-      // the flag is boolean-style (heuristic: a known flag always takes
-      // the following token when one is present).
+               takes_value(name)) {
+      // "--name value" form: only flags listed in `allowed` take the
+      // following token as their value; `switches` never do.
       value = argv[++i];
     }
     if (name == "help") usage_exit(program_, allowed_, "");

@@ -1,6 +1,8 @@
 // Minimal command-line flag parsing for bench and example binaries.
 //
 // Accepted syntax: --name=value, --name value, --flag (boolean true).
+// A *switch* never takes the "--name value" form, so a positional
+// argument may follow it (`tool --switch file`).
 // --help, unknown flags and malformed values print the usage line
 // (program name and accepted flags) to stderr and exit with status 2,
 // so typos in benchmark invocations are caught instead of silently
@@ -16,9 +18,11 @@ namespace skil::support {
 /// Parsed command line.
 class Cli {
  public:
-  /// `allowed` lists the allowed flag names (without leading dashes).
+  /// `allowed` lists the allowed flag names (without leading dashes);
+  /// `switches` lists further allowed flags that are switches.
   /// Exits the process with status 2 on --help or an unknown flag.
-  Cli(int argc, char** argv, std::vector<std::string> allowed);
+  Cli(int argc, char** argv, std::vector<std::string> allowed,
+      const std::vector<std::string>& switches = {});
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;

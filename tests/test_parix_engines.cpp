@@ -13,6 +13,7 @@
 
 #include "apps/gauss.h"
 #include "apps/shortest_paths.h"
+#include "parix/executor.h"
 #include "parix/runtime.h"
 #include "parix_golden_cases.h"
 #include "support/error.h"
@@ -117,6 +118,21 @@ TEST(PooledEngine, DetectsAllProcessorsBlockedAsDeadlock) {
                           proc.recv<int>(1 - proc.id(), 42);
                         }),
                support::RuntimeFault);
+}
+
+TEST(PooledEngine, DetectsDeadlockCompletedByAFinishingProcessor) {
+  // Processors 0 and 1 wait for processor 2, which returns without
+  // sending.  On one carrier they park first and processor 2 finishes
+  // last, so it is the finish, not a park, that leaves every live
+  // fiber parked -- the scheduler must notice that too.
+  executor_set_carriers(1);
+  RunConfig config{3, CostModel::t800(), ExecutionEngine::kPooled};
+  EXPECT_THROW(spmd_run(config,
+                        [](Proc& proc) {
+                          if (proc.id() < 2) proc.recv<int>(2, 7);
+                        }),
+               support::RuntimeFault);
+  executor_set_carriers(0);  // restore the SKIL_CARRIERS / hw default
 }
 
 TEST(PooledEngine, SurvivesManyMoreProcessorsThanHostThreads) {

@@ -4,6 +4,10 @@
 // subset of its input language -- Skil minus the functional features).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "skilc/compiler.h"
 #include "skilc/emit.h"
 #include "skilc/instantiate.h"
@@ -112,6 +116,66 @@ TEST(Pipeline, PardataSurvivesUninstantiatedTypeVarHeader) {
   const CompileResult result = compile(kPrograms[0]);
   ASSERT_EQ(result.instantiated.pardatas.size(), 1u);
   EXPECT_EQ(result.instantiated.pardatas[0].name, "array");
+}
+
+// --- float literals ---------------------------------------------------------
+//
+// The emitter must spell a float literal so that it still lexes as a
+// float (1.0, not 1, which would re-type the expression as int) and
+// reads back as the same double (3.14159265, not 3.14159).
+
+/// The value of the float literal returned by function `name`.
+double returned_float(const Program& program, const std::string& name) {
+  for (const Function& fn : program.functions) {
+    if (fn.name != name || fn.is_prototype) continue;
+    for (const StmtPtr& stmt : fn.body) {
+      if (stmt->kind != Stmt::Kind::kReturn) continue;
+      const Expr* e = stmt->expr.get();
+      while (e != nullptr && e->kind == Expr::Kind::kBinary) e = e->lhs.get();
+      if (e != nullptr && e->kind == Expr::Kind::kFloatLit) return e->float_value;
+    }
+  }
+  ADD_FAILURE() << "no returned float literal in " << name;
+  return -1.0;
+}
+
+const char* kFloatProgram = R"(
+  float half(float d) { return 1.0 / d; }
+  float pi_times(float r) { return 3.14159265 * r; }
+)";
+
+TEST(FloatLiterals, EmittedCodeKeepsTheDecimalPointAndEveryDigit) {
+  const CompileResult result = compile(kFloatProgram);
+  EXPECT_NE(result.c_code.find("return 1.0 / d;"), std::string::npos)
+      << result.c_code;
+  EXPECT_NE(result.c_code.find("return 3.14159265 * r;"), std::string::npos)
+      << result.c_code;
+}
+
+TEST(FloatLiterals, EmittedCodeReparsesTypechecksAndRoundTripsBitExactly) {
+  const CompileResult result = compile(kFloatProgram);
+  const std::string portable =
+      emit_program(result.instantiated, /*mangle=*/false);
+  Program reparsed = parse(portable);
+  ASSERT_NO_THROW(typecheck(reparsed)) << portable;
+  for (const char* name : {"half", "pi_times"}) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(returned_float(reparsed, name)),
+              std::bit_cast<std::uint64_t>(
+                  returned_float(result.instantiated, name)));
+  }
+  EXPECT_EQ(returned_float(reparsed, "half"), 1.0);
+  EXPECT_EQ(returned_float(reparsed, "pi_times"), 3.14159265);
+}
+
+TEST(FloatLiterals, SpellingIsShortestRoundTripWithADecimalPoint) {
+  EXPECT_EQ(float_literal(1.0), "1.0");
+  EXPECT_EQ(float_literal(0.0), "0.0");
+  EXPECT_EQ(float_literal(3.14159265), "3.14159265");
+  EXPECT_EQ(float_literal(0.1), "0.1");
+  EXPECT_EQ(float_literal(1e20), "100000000000000000000.0");
+  for (const double v : {0.1, 2.0 / 3.0, 1e-7, 123456.789, 1e300})
+    EXPECT_EQ(std::stod(float_literal(v)), v) << float_literal(v);
 }
 
 }  // namespace
