@@ -259,6 +259,12 @@ void note_inline_settle(std::uint64_t adds);
 /// boundary periods); `inline_adds` are the adds SKIL_SETTLE=chain
 /// executed.  Together they account for every pending chain add,
 /// which is how the bench proves its closed-form coverage claim.
+///
+/// Only `total_adds()` and `chain_adds` identify the work: the memo is
+/// per carrier thread, so which carrier settles which fiber moves the
+/// split between memo hits, misses, probes and closed adds (and with
+/// it `closed_coverage()`) on a multi-carrier run.  One carrier on a
+/// fresh pool repeats every field exactly.
 struct SettleCounters {
   std::uint64_t closed_runs = 0;     ///< records retired via closed-form walks
   std::uint64_t closed_adds = 0;     ///< adds skipped with freshly probed deltas

@@ -1,11 +1,15 @@
 #include "parix/executor.h"
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
@@ -45,31 +49,141 @@ namespace {
 // so a 64-processor run commits only the pages it actually uses.
 constexpr std::size_t kFiberStackBytes = std::size_t{1} << 20;
 
-// Park/unpark protocol (all transitions under Scheduler::mutex_):
+#if defined(__x86_64__)
+// The fiber switch, hand-written for the x86-64 SysV ABI.  glibc's
+// swapcontext also saves and restores the signal mask, one
+// rt_sigprocmask syscall per switch; fibers never change their mask,
+// so this switch keeps to what the ABI makes callee-saved: rbx, rbp,
+// r12-r15, the MXCSR control bits and the x87 control word.  It pushes
+// them on the running stack, stores the stack pointer to *save_sp,
+// loads next_sp and pops the same frame off the other stack.  It keeps
+// no CET shadow stack, so it cannot run with user shadow stacks on
+// (glibc leaves them off unless a tunable asks for them).
+
+/// A suspended execution context: its saved stack pointer.
+struct Context {
+  void* sp = nullptr;
+};
+
+extern "C" void skil_parix_fiber_switch(void** save_sp, void* next_sp);
+asm(R"(
+  .pushsection .text
+  .globl skil_parix_fiber_switch
+  .hidden skil_parix_fiber_switch
+  .type skil_parix_fiber_switch, @function
+  .p2align 4
+skil_parix_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size skil_parix_fiber_switch, .-skil_parix_fiber_switch
+  .popsection
+)");
+
+/// Prepares `ctx` to start `entry` on the given stack at its first
+/// switch: the frame skil_parix_fiber_switch pops, with the creating
+/// thread's floating-point control state, zeroed callee-saved
+/// registers and `entry` as the return address.  `entry` must never
+/// return; the null slot above it ends backtraces.  Unchecked by ASan:
+/// a recycled stack still carries the shadow of its last fiber's
+/// frames, which never returned; the frames run on it set their own.
+__attribute__((no_sanitize_address)) void context_init(Context& ctx,
+                                                       char* stack,
+                                                       std::size_t size,
+                                                       void (*entry)()) {
+  const auto top =
+      reinterpret_cast<std::uintptr_t>(stack + size) & ~std::uintptr_t{15};
+  // [0] x87 control word, [1] MXCSR, [2..7] r15 r14 r13 r12 rbx rbp,
+  // [8] entry, [9] null return address.  After the final ret the stack
+  // pointer is top - 8, the alignment the ABI gives a called function.
+  auto* frame = reinterpret_cast<std::uint64_t*>(top) - 10;
+  std::uint16_t fpu_cw = 0;
+  asm volatile("fnstcw %0" : "=m"(fpu_cw));
+  frame[0] = fpu_cw;
+  frame[1] = __builtin_ia32_stmxcsr();
+  for (int i = 2; i < 8; ++i) frame[i] = 0;
+  frame[8] = reinterpret_cast<std::uint64_t>(entry);
+  frame[9] = 0;
+  ctx.sp = frame;
+}
+
+/// Saves the running context into `from` and resumes `to`.
+inline void context_switch(Context& from, const Context& to) {
+  skil_parix_fiber_switch(&from.sp, to.sp);
+}
+#else
+// Other architectures keep the portable ucontext switch.
+
+/// A suspended execution context.
+struct Context {
+  ucontext_t uc;
+};
+
+/// Prepares `ctx` to start `entry` on the given stack at its first
+/// switch.
+void context_init(Context& ctx, char* stack, std::size_t size,
+                  void (*entry)()) {
+  getcontext(&ctx.uc);
+  ctx.uc.uc_stack.ss_sp = stack;
+  ctx.uc.uc_stack.ss_size = size;
+  ctx.uc.uc_link = nullptr;
+  makecontext(&ctx.uc, entry, 0);
+}
+
+/// Saves the running context into `from` and resumes `to`.
+inline void context_switch(Context& from, const Context& to) {
+  swapcontext(&from.uc, &to.uc);
+}
+#endif
+
+// Fiber states, each transition one atomic store or CAS with no lock.
+// kParking: park_current ran but the carrier is still on the fiber's
+// stack, so it cannot be enqueued yet; kNotified: a wake() came while
+// the fiber was running or parking.
 //
-//   kReady       in a carrier run queue, waiting for a carrier
-//   kRunning     executing on a carrier thread
-//   kParking     asked to park; its carrier has not yet swapped off
-//                the fiber stack, so it cannot be enqueued yet
-//   kParked      off-stack, waiting for a wake()
-//   kFinished    body returned; the carrier recycles the fiber object
+//   dispatch          kReady -> kRunning            (store, carrier)
+//   park_current      kRunning -> kParking          (CAS, fiber)
+//                     kNotified -> kRunning         (CAS lost: resume)
+//   post-switch step  kParking -> kParked           (CAS, carrier)
+//                     kNotified -> kReady, enqueue  (CAS lost)
+//                     kFinished: recycle, leave census
+//   wake              kParked -> kReady, enqueue    (CAS, waker)
+//                     kRunning|kParking -> kNotified
 //
-// A wake() that catches the fiber kRunning (the waiter was already
-// deregistered, but the fiber has not reached park_current yet) sets
-// notify_pending, which park_current consumes instead of parking --
-// the classic missed-wakeup race, resolved without spinning.
-enum class FiberState { kReady, kRunning, kParking, kParked, kFinished };
+// So the missed-wakeup race (the waiter is woken before its fiber gets
+// off its stack) is settled by whichever CAS wins.
+enum class FiberState : std::uint8_t {
+  kReady, kRunning, kNotified, kParking, kParked, kFinished
+};
 
 struct RunState;
 
 struct Fiber {
-  ucontext_t context;
+  Context context;
   std::unique_ptr<char[]> stack;
-  FiberState state = FiberState::kReady;
-  bool notify_pending = false;
+  std::atomic<FiberState> state{FiberState::kReady};
   /// Carrier whose run queue this fiber calls home (affinity; idle
-  /// carriers steal from the others).
-  int home = 0;
+  /// carriers steal from the others).  Written by the dispatching
+  /// carrier, read by wakers on other carriers.
+  std::atomic<int> home{0};
   /// Whether this fiber has been dispatched before in the current run
   /// (distinguishes first dispatch from a resume in the profiler's
   /// fibers_run / fibers_resumed counters).
@@ -79,15 +193,14 @@ struct Fiber {
   /// ASan fake-stack save slot for switches *off* this fiber (unused
   /// outside ASan builds).
   void* asan_fake_stack = nullptr;
-  /// TSan logical-thread context for this fiber (unused outside TSan
-  /// builds).
+  /// TSan logical-thread context for this fiber's current run (unused
+  /// outside TSan builds).
   void* tsan_fiber = nullptr;
 };
 
 struct RunState {
   Machine* machine = nullptr;
   const detail::BodyRef* body = nullptr;
-  bool deadlock_poisoned = false;  // guarded by Scheduler::mutex_
 
   std::mutex failure_mutex;
   std::exception_ptr first_failure;
@@ -95,17 +208,38 @@ struct RunState {
   std::mutex done_mutex;
   std::condition_variable done_cv;
   bool done = false;
-  /// Set by detect_deadlock_locked (guarded by done_mutex): asks the
-  /// thread waiting in Scheduler::run to poison the machine.  The
-  /// waiter owns the machine, so poisoning from there cannot race run
-  /// teardown; a carrier poisoning directly could still be walking the
-  /// mailboxes when the woken fibers finish the run and the caller
-  /// destroys the machine.
+  /// Set on quiescence, at most once per run (guarded by done_mutex):
+  /// asks the thread waiting in Scheduler::run to poison the machine.
   bool deadlock_detected = false;
 };
 
+/// One carrier's run queue.  `size` mirrors the deque's length for
+/// lock-free emptiness probes (stealing, the sleep check); it is exact
+/// under `mutex` and a hint everywhere else.
+struct alignas(64) RunQueue {
+  std::mutex mutex;
+  std::deque<Fiber*> fibers;
+  std::atomic<int> size{0};
+
+  int push(Fiber* fiber) {  // returns the new length
+    const std::scoped_lock lock(mutex);
+    fibers.push_back(fiber);
+    size.store(static_cast<int>(fibers.size()), std::memory_order_relaxed);
+    return static_cast<int>(fibers.size());
+  }
+  Fiber* pop(int& depth) {  // oldest fiber or null; depth: length left
+    const std::scoped_lock lock(mutex);
+    if (fibers.empty()) return nullptr;
+    Fiber* fiber = fibers.front();
+    fibers.pop_front();
+    depth = static_cast<int>(fibers.size());
+    size.store(depth, std::memory_order_relaxed);
+    return fiber;
+  }
+};
+
 thread_local Fiber* tl_fiber = nullptr;
-thread_local ucontext_t* tl_worker_context = nullptr;
+thread_local Context* tl_worker_context = nullptr;
 #if SKIL_ASAN_FIBERS
 thread_local const void* tl_worker_stack_bottom = nullptr;
 thread_local std::size_t tl_worker_stack_size = 0;
@@ -117,21 +251,20 @@ thread_local void* tl_worker_tsan_fiber = nullptr;
 // Work stealing migrates fibers between carrier threads, but the
 // compiler compiles every function as if its thread could never change
 // underneath it: with local-exec TLS it materialises the thread
-// pointer once and may reuse the derived addresses across a
-// swapcontext that in fact moved the fiber to another carrier (GCC
-// does exactly this when it inlines finish_current into
-// fiber_trampoline, leaving the finished fiber reading the *original*
-// carrier's slot).  Every TLS slot fiber-side code may read therefore
-// goes through these opaque accessors: noinline forces a fresh
-// thread-pointer load per call, and the volatile asm keeps IPA from
-// proving the functions pure and CSE-ing the calls.  Carrier-side code
-// (worker_main) accesses its own slots directly -- a worker thread
-// never migrates.
+// pointer once and may reuse the derived addresses across a context
+// switch that in fact moved the fiber to another carrier (GCC does
+// exactly this when it inlines finish_current into fiber_trampoline,
+// leaving the finished fiber reading the *original* carrier's slot).
+// Every TLS slot fiber-side code may read therefore goes through these
+// opaque accessors: noinline forces a fresh thread-pointer load per
+// call, and the volatile asm keeps IPA from proving the functions pure
+// and CSE-ing the calls.  Carrier-side code (worker_main) accesses its
+// own slots directly -- a worker thread never migrates.
 __attribute__((noinline)) Fiber*& current_fiber_slot() {
   asm volatile("");
   return tl_fiber;
 }
-__attribute__((noinline)) ucontext_t* current_worker_context() {
+__attribute__((noinline)) Context* current_worker_context() {
   asm volatile("");
   return tl_worker_context;
 }
@@ -213,7 +346,8 @@ class Scheduler {
   void wake(Fiber* fiber);
 
   /// Marks the calling fiber finished and swaps back to its carrier
-  /// for good.  Signals run completion when it is the last one.
+  /// for good; the carrier recycles it and signals run completion
+  /// when it is the last one.
   [[noreturn]] void finish_current();
 
   /// Number of carrier threads the next pooled run will use.
@@ -235,35 +369,51 @@ class Scheduler {
   ~Scheduler();
 
   void worker_main(int index);
+  void dispatch(int index, Fiber* fiber, Context& worker_context);
   void spawn_workers_locked();
   void stop_workers(std::unique_lock<std::mutex>& lock);
-  void enqueue_locked(Fiber* fiber);
-  Fiber* pop_ready_locked(int index);
-  void detect_deadlock_locked(std::unique_lock<std::mutex>& lock);
+  void enqueue(Fiber* fiber);
+  Fiber* pop_ready(int index);
+  bool sleep_until_work();
+  /// Reports a run's end or deadlock to its waiter when a census
+  /// decrement leaves `left`.
+  static void after_census_drop(RunState* run, std::uint64_t left);
   int resolve_carriers_locked();
 
+  /// Deadlock census, one word.  The high half counts live fibers (not
+  /// finished), the low half the fibers that are ready, running or not
+  /// yet parked.  Run setup stores both; a park takes 1, a wake adds 1
+  /// back, a finish takes one of each.  A drop of the low half to 0
+  /// while the high half is not is a deadlock, and it cannot fire
+  /// early: every waker is counted (a running fiber, or the run's
+  /// poisoner) until its wake() has added its target back, so at 0 no
+  /// wake is in flight, and every live fiber is parked for good.
+  std::atomic<std::uint64_t> census_{0};
+  static constexpr std::uint64_t kLive = std::uint64_t{1} << 32;
+  static constexpr std::uint64_t kActiveMask = kLive - 1;
+
+  /// One run queue per admitted carrier (fiber->home indexes it); idle
+  /// carriers steal from the others.
+  std::unique_ptr<RunQueue[]> queues_;
+  int nqueues_ = 0;
+  /// Carriers asleep in work_cv_; enqueue() takes mutex_ to signal
+  /// only when this is non-zero.
+  std::atomic<int> sleepers_{0};
+
+  // mutex_ guards what follows: carrier sleep and wake-up, pool spawn
+  // and stop, and fiber recycling.  The dispatch, park and wake paths
+  // never take it.
   std::mutex mutex_;
   std::condition_variable work_cv_;
-  /// One run queue per carrier (fiber->home indexes it); idle carriers
-  /// steal from the other queues, so ready_count_ is the global count.
-  std::vector<std::deque<Fiber*>> queues_;
-  int ready_count_ = 0;
   std::vector<std::unique_ptr<Fiber>> all_fibers_;  // ownership
   std::vector<Fiber*> free_fibers_;                 // recycled, off-stack
   std::vector<std::thread> workers_;
+  /// Carrier count of the running pool (0 = no pool).  Admission cap:
+  /// only min(carriers, hardware_concurrency) carriers are spawned, as
+  /// oversubscribed cores turn scheduler wakeups into kernel context
+  /// switches; the extra lanes of a larger SKIL_CARRIERS stay idle.
+  int carriers_ = 0;
   int desired_carriers_ = 0;  // 0 = auto (SKIL_CARRIERS / hw concurrency)
-  /// Admission cap: at most this many carriers execute fibers
-  /// concurrently; the rest stand by in the cv wait.  Set to
-  /// min(carriers, hardware_concurrency).  Oversubscribing physical
-  /// cores is pure loss here -- every suppressed slot would otherwise
-  /// turn scheduler wakeups into kernel context switches and the
-  /// global mutex into a lock convoy -- so a SKIL_CARRIERS above the
-  /// core count leaves the extra carriers on standby.
-  int active_cap_ = 1;
-  int running_ = 0;
-  int parked_ = 0;
-  int live_ = 0;
-  RunState* current_run_ = nullptr;
   bool shutdown_ = false;
 
   /// One spmd run owns the pool at a time; concurrent host callers
@@ -307,8 +457,7 @@ int Scheduler::resolve_carriers_locked() {
 
 int Scheduler::carriers() {
   const std::scoped_lock lock(mutex_);
-  return workers_.empty() ? resolve_carriers_locked()
-                          : static_cast<int>(workers_.size());
+  return carriers_ > 0 ? carriers_ : resolve_carriers_locked();
 }
 
 void Scheduler::spawn_workers_locked() {
@@ -319,10 +468,13 @@ void Scheduler::spawn_workers_locked() {
   if (prof_detail::g_registry.load(std::memory_order_relaxed) != nullptr)
     prof_ensure_registry(n);
   const unsigned hc = std::thread::hardware_concurrency();
-  active_cap_ = hc == 0 ? n : std::max(1, std::min(n, static_cast<int>(hc)));
-  queues_.assign(static_cast<std::size_t>(n), {});
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
+  const int admitted =
+      hc == 0 ? n : std::max(1, std::min(n, static_cast<int>(hc)));
+  carriers_ = n;
+  nqueues_ = admitted;
+  queues_ = std::make_unique<RunQueue[]>(static_cast<std::size_t>(admitted));
+  workers_.reserve(static_cast<std::size_t>(admitted));
+  for (int i = 0; i < admitted; ++i)
     workers_.emplace_back([this, i] { worker_main(i); });
 }
 
@@ -334,7 +486,9 @@ void Scheduler::stop_workers(std::unique_lock<std::mutex>& lock) {
   for (auto& worker : workers_) worker.join();
   lock.lock();
   workers_.clear();
-  queues_.clear();
+  queues_.reset();
+  nqueues_ = 0;
+  carriers_ = 0;
   shutdown_ = false;
 }
 
@@ -352,86 +506,86 @@ void Scheduler::prof_prepare() {
   const std::scoped_lock serial(run_serial_);
   const std::scoped_lock lock(mutex_);
   if (workers_.empty()) spawn_workers_locked();
-  prof_ensure_registry(static_cast<int>(workers_.size()));
+  prof_ensure_registry(carriers_);
 }
 
-void Scheduler::enqueue_locked(Fiber* fiber) {
-  auto& queue = queues_[static_cast<std::size_t>(fiber->home)];
-  queue.push_back(fiber);
-  ++ready_count_;
+void Scheduler::enqueue(Fiber* fiber) {
+  const int home = fiber->home.load(std::memory_order_relaxed);
+  const int depth = queues_[home].push(fiber);
   if (ProfRegistry* const prof = prof_registry();
-      prof != nullptr && fiber->home < prof->n) [[unlikely]]
-    prof->carriers[fiber->home].queue_depth.store(
-        static_cast<std::int32_t>(queue.size()), std::memory_order_relaxed);
-  // Wake a standby carrier only when the admission cap has room for
-  // it; at the cap, the carriers already executing drain the queue
-  // themselves when they next return to their loop.
-  if (running_ < active_cap_) work_cv_.notify_one();
+      prof != nullptr && home < prof->n) [[unlikely]]
+    prof->carriers[home].queue_depth.store(depth, std::memory_order_relaxed);
+  // Pairs with the fence in sleep_until_work: either this load sees
+  // the sleeper, or the sleeper's re-check sees the size above.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_relaxed) > 0) {
+    const std::scoped_lock lock(mutex_);
+    work_cv_.notify_one();
+  }
 }
 
-Fiber* Scheduler::pop_ready_locked(int index) {
+Fiber* Scheduler::pop_ready(int index) {
   ProfRegistry* const prof = prof_registry();
-  if (ready_count_ == 0) {
-    if (prof != nullptr && index < prof->n) [[unlikely]]
-      prof->carriers[index].bump(&CarrierReport::steal_failed_rounds);
-    return nullptr;
-  }
-  const int n = static_cast<int>(queues_.size());
+  const bool counted = prof != nullptr && index < prof->n;
   // Own queue first (affinity), then steal round-robin from the rest.
-  for (int i = 0; i < n; ++i) {
-    const int owner = (index + i) % n;
-    auto& queue = queues_[static_cast<std::size_t>(owner)];
-    if (queue.empty()) {
-      if (prof != nullptr && i > 0 && index < prof->n) [[unlikely]]
-        prof->carriers[index].bump(&CarrierReport::steal_attempts);
-      continue;
-    }
-    Fiber* fiber = queue.front();
-    queue.pop_front();
-    --ready_count_;
+  for (int i = 0; i < nqueues_; ++i) {
+    const int owner = (index + i) % nqueues_;
+    RunQueue& queue = queues_[owner];
+    if (counted && i > 0) [[unlikely]]
+      prof->carriers[index].bump(&CarrierReport::steal_attempts);
+    int depth = 0;
+    Fiber* const fiber = queue.size.load(std::memory_order_relaxed) > 0
+                             ? queue.pop(depth)
+                             : nullptr;
+    if (fiber == nullptr) continue;
     if (prof != nullptr) [[unlikely]] {
-      if (i > 0 && index < prof->n) {
-        CarrierCounters& pc = prof->carriers[index];
-        pc.bump(&CarrierReport::steal_attempts);
-        pc.bump(&CarrierReport::steal_successes);
-      }
+      if (counted && i > 0)
+        prof->carriers[index].bump(&CarrierReport::steal_successes);
       if (owner < prof->n)
-        prof->carriers[owner].queue_depth.store(
-            static_cast<std::int32_t>(queue.size()),
-            std::memory_order_relaxed);
+        prof->carriers[owner].queue_depth.store(depth,
+                                                std::memory_order_relaxed);
     }
     return fiber;
   }
-  SKIL_ASSERT(false, "executor: ready_count_ out of sync");
+  if (counted) [[unlikely]]
+    prof->carriers[index].bump(&CarrierReport::steal_failed_rounds);
   return nullptr;
 }
 
-void Scheduler::detect_deadlock_locked(std::unique_lock<std::mutex>& lock) {
-  if (ready_count_ > 0 || running_ > 0 || live_ == 0 || parked_ != live_)
-    return;
-  RunState* run = current_run_;
-  if (run == nullptr || run->deadlock_poisoned) return;
-  run->deadlock_poisoned = true;
-  // Hand the poisoning to the thread waiting in Scheduler::run rather
-  // than doing it here: that thread owns the machine, so it cannot be
-  // destroyed under the poisoner's feet (a carrier walking the
-  // mailboxes races run teardown once the woken fibers finish).  The
-  // deadlock state itself cannot change meanwhile -- every live fiber
-  // is parked with no wake in flight, by the checks above.
-  lock.unlock();
-  {
-    // Notify under done_mutex: once the waiter sees the flag it may
-    // poison, let the fibers finish and destroy `run` (it lives on
-    // its stack), so the cv must not be touched after the unlock.
-    const std::scoped_lock done_lock(run->done_mutex);
+bool Scheduler::sleep_until_work() {
+  std::unique_lock lock(mutex_);
+  sleepers_.fetch_add(1, std::memory_order_relaxed);
+  // Pairs with the fence in enqueue (see there).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  work_cv_.wait(lock, [&] {
+    for (int i = 0; i < nqueues_; ++i)
+      if (queues_[i].size.load(std::memory_order_relaxed) > 0) return true;
+    return shutdown_;
+  });
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  return !shutdown_;
+}
+
+void Scheduler::after_census_drop(RunState* run, std::uint64_t left) {
+  if ((left & kActiveMask) != 0) return;
+  // Notify under done_mutex: once the waiter sees a flag it may finish
+  // the run and destroy `run` (it lives on its stack), so the cv must
+  // not be touched after the unlock.
+  const std::scoped_lock done_lock(run->done_mutex);
+  if (left == 0) {
+    run->done = true;
+  } else {
+    // Live fibers remain, all parked with no wake in flight (census_).
+    // A finish completes a deadlock just like a park can.  The waiter
+    // poisons, not us: it owns the machine, which a carrier walking the
+    // mailboxes could see destroyed once the woken fibers finish.
     run->deadlock_detected = true;
-    run->done_cv.notify_one();
   }
-  lock.lock();
+  run->done_cv.notify_one();
 }
 
 void Scheduler::worker_main(int index) {
-  ucontext_t worker_context;
+  Context worker_context;
   tl_worker_context = &worker_context;
 #if SKIL_ASAN_FIBERS
   {
@@ -448,141 +602,128 @@ void Scheduler::worker_main(int index) {
 #if SKIL_TSAN_FIBERS
   tl_worker_tsan_fiber = __tsan_get_current_fiber();
 #endif
-  std::unique_lock lock(mutex_);
   for (;;) {
-    work_cv_.wait(lock, [&] {
-      return shutdown_ || (ready_count_ > 0 && running_ < active_cap_);
-    });
-    if (shutdown_) return;
-    Fiber* fiber = pop_ready_locked(index);
-    fiber->state = FiberState::kRunning;
-    fiber->home = index;
-    ++running_;
-    const bool resumed = fiber->ran_before;
-    fiber->ran_before = true;
-    lock.unlock();
-
-    ProfRegistry* const prof = prof_registry();
-    std::chrono::steady_clock::time_point prof_t0;
-    if (prof != nullptr && index < prof->n) [[unlikely]] {
-      CarrierCounters& pc = prof->carriers[index];
-      pc.bump(&CarrierReport::fibers_run);
-      if (resumed) pc.bump(&CarrierReport::fibers_resumed);
-      pc.running_proc.store(fiber->proc->id(), std::memory_order_relaxed);
-      prof_t0 = std::chrono::steady_clock::now();
+    if (Fiber* fiber = pop_ready(index)) {
+      dispatch(index, fiber, worker_context);
+    } else if (!sleep_until_work()) {
+      return;
     }
+  }
+}
 
-    tl_fiber = fiber;
-    void* fake_stack = nullptr;
-    sanitizer_switch_to_fiber(fiber, &fake_stack);
-    swapcontext(&worker_context, &fiber->context);
-    sanitizer_finish_switch(fake_stack);
-    tl_fiber = nullptr;
+void Scheduler::dispatch(int index, Fiber* fiber, Context& worker_context) {
+  fiber->state.store(FiberState::kRunning, std::memory_order_relaxed);
+  fiber->home.store(index, std::memory_order_relaxed);
+  const bool resumed = fiber->ran_before;
+  fiber->ran_before = true;
+  RunState* const run = fiber->run;
 
-    if (prof != nullptr && index < prof->n) [[unlikely]] {
-      CarrierCounters& pc = prof->carriers[index];
-      pc.bump(&CarrierReport::run_ns,
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - prof_t0)
-                      .count()));
-      pc.running_proc.store(-1, std::memory_order_relaxed);
+  ProfRegistry* const prof = prof_registry();
+  std::chrono::steady_clock::time_point prof_t0;
+  if (prof != nullptr && index < prof->n) [[unlikely]] {
+    CarrierCounters& pc = prof->carriers[index];
+    pc.bump(&CarrierReport::fibers_run);
+    if (resumed) pc.bump(&CarrierReport::fibers_resumed);
+    pc.running_proc.store(fiber->proc->id(), std::memory_order_relaxed);
+    prof_t0 = std::chrono::steady_clock::now();
+  }
+
+  tl_fiber = fiber;
+  void* fake_stack = nullptr;
+  sanitizer_switch_to_fiber(fiber, &fake_stack);
+  context_switch(worker_context, fiber->context);
+  sanitizer_finish_switch(fake_stack);
+  tl_fiber = nullptr;
+
+  if (prof != nullptr && index < prof->n) [[unlikely]] {
+    CarrierCounters& pc = prof->carriers[index];
+    pc.bump(&CarrierReport::run_ns,
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - prof_t0)
+                    .count()));
+    pc.running_proc.store(-1, std::memory_order_relaxed);
+  }
+
+  FiberState state = FiberState::kParking;
+  if (fiber->state.compare_exchange_strong(state, FiberState::kParked,
+                                           std::memory_order_acq_rel)) {
+    // From here a waker may already be running the fiber elsewhere.
+    after_census_drop(run, census_.fetch_sub(1, std::memory_order_acq_rel) - 1);
+  } else if (state == FiberState::kNotified) {
+    // A wake() arrived while the fiber was mid-park; it could not
+    // enqueue (we were still on the fiber's stack), so we do.
+    fiber->state.store(FiberState::kReady, std::memory_order_relaxed);
+    enqueue(fiber);
+  } else {
+    SKIL_ASSERT(state == FiberState::kFinished,
+                "executor: fiber yielded in impossible state");
+    // Safe to recycle: the fiber has left its stack for good.  Only
+    // then does it leave the census, so a finished run has every fiber
+    // back on the free list before its waiter returns.
+    {
+      const std::scoped_lock lock(mutex_);
+      free_fibers_.push_back(fiber);
     }
-
-    lock.lock();
-    --running_;
-    switch (fiber->state) {
-      case FiberState::kFinished:
-        // Safe to recycle: the fiber has left its stack for good.
-        free_fibers_.push_back(fiber);
-        // If it was the last live fiber not parked, the rest wait for
-        // messages nobody can send any more: a finish can complete a
-        // deadlock just like a park can.
-        detect_deadlock_locked(lock);
-        break;
-      case FiberState::kParking:
-        if (fiber->notify_pending) {
-          fiber->notify_pending = false;
-          fiber->state = FiberState::kReady;
-          enqueue_locked(fiber);
-        } else {
-          fiber->state = FiberState::kParked;
-          ++parked_;
-          if (ProfRegistry* const prof_park = prof_registry();
-              prof_park != nullptr && index < prof_park->n) [[unlikely]]
-            prof_park->carriers[index].bump(&CarrierReport::parks);
-          detect_deadlock_locked(lock);
-        }
-        break;
-      case FiberState::kReady:
-        // A wake() arrived while the fiber was mid-park; it could not
-        // enqueue (we were still on the fiber's stack), so we do.
-        enqueue_locked(fiber);
-        break;
-      default:
-        SKIL_ASSERT(false, "executor: fiber yielded in impossible state");
-    }
+    after_census_drop(
+        run, census_.fetch_sub(kLive + 1, std::memory_order_acq_rel) -
+                 (kLive + 1));
   }
 }
 
 void Scheduler::park_current() {
   Fiber* fiber = current_fiber_slot();
   SKIL_ASSERT(fiber != nullptr, "executor: park outside a fiber");
-  {
-    const std::scoped_lock lock(mutex_);
-    if (fiber->notify_pending) {
-      fiber->notify_pending = false;
-      return;
-    }
-    fiber->state = FiberState::kParking;
+  FiberState state = FiberState::kRunning;
+  if (!fiber->state.compare_exchange_strong(state, FiberState::kParking,
+                                            std::memory_order_acq_rel)) {
+    // The wake already came (kNotified): stay on the carrier.
+    fiber->state.store(FiberState::kRunning, std::memory_order_relaxed);
+    return;
   }
   sanitizer_switch_to_worker(&fiber->asan_fake_stack);
-  swapcontext(&fiber->context, current_worker_context());
+  context_switch(fiber->context, *current_worker_context());
   sanitizer_finish_switch(fiber->asan_fake_stack);
 }
 
 void Scheduler::wake(Fiber* fiber) {
-  const std::scoped_lock lock(mutex_);
-  switch (fiber->state) {
-    case FiberState::kParked:
-      fiber->state = FiberState::kReady;
-      --parked_;
-      if (ProfRegistry* const prof = prof_registry();
-          prof != nullptr && fiber->home < prof->n) [[unlikely]]
-        prof->carriers[fiber->home].bump(&CarrierReport::unparks);
-      enqueue_locked(fiber);
-      break;
-    case FiberState::kParking:
-      // Its carrier is still swapping off the fiber stack and will
-      // enqueue when it observes the state change.
-      fiber->state = FiberState::kReady;
-      break;
-    default:
-      fiber->notify_pending = true;
-      break;
+  FiberState state = fiber->state.load(std::memory_order_acquire);
+  for (;;) {
+    if (state == FiberState::kParked) {
+      if (fiber->state.compare_exchange_weak(state, FiberState::kReady,
+                                             std::memory_order_acq_rel))
+        break;
+    } else {
+      SKIL_ASSERT(state == FiberState::kRunning ||
+                      state == FiberState::kParking,
+                  "executor: wake of a fiber that waits for nothing");
+      // Running or still on its stack: its own CAS or its carrier's
+      // fails on kNotified and keeps it runnable.
+      if (fiber->state.compare_exchange_weak(state, FiberState::kNotified,
+                                             std::memory_order_acq_rel))
+        return;
+    }
   }
+  census_.fetch_add(1, std::memory_order_acq_rel);
+  const int home = fiber->home.load(std::memory_order_relaxed);
+  // The park is booked with its unpark, on the parking carrier's lane:
+  // each park of a run ends in one unpark before the run finishes, so
+  // a run's delta stays exact even if that carrier stalls after its CAS.
+  if (ProfRegistry* const prof = prof_registry();
+      prof != nullptr && home < prof->n) [[unlikely]] {
+    prof->carriers[home].bump(&CarrierReport::parks);
+    prof->carriers[home].bump(&CarrierReport::unparks);
+  }
+  enqueue(fiber);
 }
 
 void Scheduler::finish_current() {
   Fiber* fiber = current_fiber_slot();
-  RunState* run = fiber->run;
-  bool last = false;
-  {
-    const std::scoped_lock lock(mutex_);
-    fiber->state = FiberState::kFinished;
-    --live_;
-    last = live_ == 0;
-  }
-  if (last) {
-    const std::scoped_lock lock(run->done_mutex);
-    run->done = true;
-    run->done_cv.notify_one();
-  }
-  // From here the fiber touches nothing of the run (the caller may
-  // already be tearing it down); it only leaves its stack -- for good,
-  // so ASan releases its fake stack (null save slot).
+  fiber->state.store(FiberState::kFinished, std::memory_order_relaxed);
+  // The carrier books the finish once it is off this stack for good,
+  // so ASan releases the fake stack (null save slot).
   sanitizer_switch_to_worker(nullptr);
-  swapcontext(&fiber->context, current_worker_context());
+  context_switch(fiber->context, *current_worker_context());
   SKIL_ASSERT(false, "executor: finished fiber resumed");
   std::abort();
 }
@@ -595,12 +736,10 @@ std::exception_ptr Scheduler::run(
   run.machine = &machine;
   run.body = &body;
 
+  std::vector<Fiber*> fibers;
   {
-    std::unique_lock lock(mutex_);
+    const std::scoped_lock lock(mutex_);
     if (workers_.empty()) spawn_workers_locked();
-    const int carriers = static_cast<int>(workers_.size());
-    live_ = static_cast<int>(procs.size());
-    current_run_ = &run;
     for (const auto& proc : procs) {
       Fiber* fiber;
       if (!free_fibers_.empty()) {
@@ -610,55 +749,47 @@ std::exception_ptr Scheduler::run(
         all_fibers_.push_back(std::make_unique<Fiber>());
         fiber = all_fibers_.back().get();
         fiber->stack.reset(new char[kFiberStackBytes]);
-#if SKIL_TSAN_FIBERS
-        fiber->tsan_fiber = __tsan_create_fiber(0);
-#endif
       }
+#if SKIL_TSAN_FIBERS
+      // A fresh TSan context per run: a fiber never returns from its
+      // trampoline, and a context reused across runs grew without
+      // bound (hundreds of MB over a few thousand runs).
+      if (fiber->tsan_fiber != nullptr) __tsan_destroy_fiber(fiber->tsan_fiber);
+      fiber->tsan_fiber = __tsan_create_fiber(0);
+#endif
       fiber->run = &run;
       fiber->proc = proc.get();
-      fiber->state = FiberState::kReady;
-      fiber->notify_pending = false;
+      fiber->state.store(FiberState::kReady, std::memory_order_relaxed);
       fiber->ran_before = false;
-      fiber->home = proc->id() % carriers;
+      fiber->home.store(proc->id() % nqueues_, std::memory_order_relaxed);
       fiber->asan_fake_stack = nullptr;
-      getcontext(&fiber->context);
-      fiber->context.uc_stack.ss_sp = fiber->stack.get();
-      fiber->context.uc_stack.ss_size = kFiberStackBytes;
-      fiber->context.uc_link = nullptr;
-      makecontext(&fiber->context, fiber_trampoline, 0);
-      queues_[static_cast<std::size_t>(fiber->home)].push_back(fiber);
-      ++ready_count_;
+      context_init(fiber->context, fiber->stack.get(), kFiberStackBytes,
+                   fiber_trampoline);
+      fibers.push_back(fiber);
     }
-    if (ProfRegistry* const prof = prof_registry(); prof != nullptr)
-        [[unlikely]] {
-      const int lanes = std::min(carriers, prof->n);
-      for (int i = 0; i < lanes; ++i)
-        prof->carriers[i].queue_depth.store(
-            static_cast<std::int32_t>(
-                queues_[static_cast<std::size_t>(i)].size()),
-            std::memory_order_relaxed);
-    }
-    work_cv_.notify_all();
   }
+  const auto n = static_cast<std::uint64_t>(fibers.size());
+  census_.store(n * kLive + n, std::memory_order_relaxed);
+  for (Fiber* fiber : fibers) enqueue(fiber);
 
   {
     std::unique_lock done_lock(run.done_mutex);
-    for (;;) {
-      run.done_cv.wait(done_lock,
-                       [&] { return run.done || run.deadlock_detected; });
-      if (run.done) break;
-      // A carrier found every live fiber parked in recv; poison from
-      // here, where the machine is owned, then resume waiting for the
-      // woken fibers to finish with their faults.
-      run.deadlock_detected = false;
+    run.done_cv.wait(done_lock,
+                     [&] { return run.done || run.deadlock_detected; });
+    if (!run.done) {
+      // Every live fiber is parked in recv.  Poison from here, where
+      // the machine is owned, counted in the census like any waker: it
+      // cannot drop to 0 again before every woken fiber is counted,
+      // and a poisoned mailbox parks nobody, so the deadlock is
+      // reported once.  Then wait for the woken fibers to finish.
       done_lock.unlock();
+      census_.fetch_add(1, std::memory_order_acq_rel);
       machine.poison_all("deadlock: every virtual processor is blocked in recv");
+      const bool finished =
+          census_.fetch_sub(1, std::memory_order_acq_rel) == 1;
       done_lock.lock();
+      run.done_cv.wait(done_lock, [&] { return finished || run.done; });
     }
-  }
-  {
-    const std::scoped_lock lock(mutex_);
-    current_run_ = nullptr;
   }
   const std::scoped_lock lock(run.failure_mutex);
   return run.first_failure;

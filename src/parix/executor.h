@@ -2,7 +2,7 @@
 //
 // A process-wide scheduler owns a small set of persistent worker
 // threads (capped at the host's hardware concurrency) and multiplexes
-// the virtual processors of an spmd_run as ucontext fibers: each
+// the virtual processors of an spmd_run as user-space fibers: each
 // processor is a run-to-completion task that *parks* (swaps back to
 // its worker) when a receive finds its mailbox bucket empty and is
 // *unparked* by the exact put() that satisfies it (see
@@ -14,15 +14,18 @@
 // Blocked-forever programs cannot rely on the mailbox receive timeout
 // here (a parked fiber consumes no thread), so the scheduler detects
 // quiescence -- every live fiber parked, nothing ready, nothing
-// running -- and poisons the machine's mailboxes, turning a deadlock
-// into the same RuntimeFault the threads engine raises on timeout.
+// running, counted by one atomic census -- and poisons the machine's
+// mailboxes, turning a deadlock into the same RuntimeFault the
+// threads engine raises on timeout.
 //
 // The pool runs N *carrier* threads (SKIL_CARRIERS, default the
-// host's hardware concurrency) with one run queue per carrier and
-// work stealing between them; a fiber is driven by one carrier at a
-// time, which preserves the trace layer's lock-free per-proc buffer
-// invariant.  Deferred charge ledgers settle inline, in the fiber that
-// owns them (Proc::settle_pending).
+// host's hardware concurrency) with one locked run queue per carrier
+// and work stealing between them.  Dispatch, park and wake take no
+// global lock: a fiber's state is one atomic, and each of the three
+// steps is one CAS on it (DESIGN.md section 7).  A fiber is driven by
+// one carrier at a time, which preserves the trace layer's lock-free
+// per-proc buffer invariant.  Deferred charge ledgers settle inline,
+// in the fiber that owns them (Proc::settle_pending).
 //
 // Virtual time is engine-independent by construction: it derives only
 // from charged operation counts and (src, tag)-matched message

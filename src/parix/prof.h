@@ -57,8 +57,8 @@ struct CarrierReport {
   std::uint64_t steal_attempts = 0;   ///< probes of a non-home queue
   std::uint64_t steal_successes = 0;  ///< fibers taken from a non-home queue
   std::uint64_t steal_failed_rounds = 0;  ///< full sweeps that found nothing
-  std::uint64_t parks = 0;            ///< kParking -> kParked transitions
-  std::uint64_t unparks = 0;          ///< kParked -> ready wakeups
+  std::uint64_t parks = 0;            ///< kParking -> kParked CASes
+  std::uint64_t unparks = 0;          ///< kParked -> kReady CASes (wakes)
   std::uint64_t run_ns = 0;           ///< host ns inside fiber context switches
 
   static constexpr auto fields() {
@@ -77,11 +77,15 @@ struct CarrierReport {
 };
 
 /// One carrier thread's live lane, padded to its own cache line so two
-/// carriers never contend.  The counters are written by the owning
-/// carrier (or under the scheduler mutex) and read by the sampler and
-/// aggregator without synchronization, all through relaxed atomic
-/// refs: every counter is monotone, so a torn read across fields is
-/// harmless and a per-field relaxed read is exact.
+/// carriers rarely contend.  Most counters are written by the owning
+/// carrier; a waker on another carrier books `parks` and `unparks` on
+/// the lane of the carrier that parked the fiber, and the
+/// `queue_depth` gauge is set by whichever carrier pushes to or steals
+/// from that lane's queue.  Every write is a relaxed atomic RMW or
+/// store, and the sampler and aggregator read without synchronization
+/// through relaxed atomic refs: every counter is monotone, so a torn
+/// read across fields is harmless and a per-field relaxed read is
+/// exact.
 struct alignas(64) CarrierCounters {
   CarrierReport counts;  ///< touched only through bump() and read()
   // Gauges for the sampler (not part of the delta report).

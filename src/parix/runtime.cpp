@@ -18,9 +18,9 @@
 #include "support/env.h"
 #include "support/error.h"
 
-// Fiber context switches are invisible to thread/address sanitizers
-// unless annotated, so sanitizer builds default to the threads engine
-// (SKIL_ENGINE=pooled still forces the pool for targeted debugging).
+// Sanitizer builds default to the threads engine, the differential
+// oracle; the pooled engine's fiber switches are annotated for the
+// sanitizers, and SKIL_ENGINE=pooled forces it (see runtime.h).
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define SKIL_SANITIZED_BUILD 1
 #elif defined(__has_feature)

@@ -42,8 +42,10 @@ enum class ExecutionEngine {
 /// Process-wide default engine: kPooled, overridable with the
 /// SKIL_ENGINE environment variable ("threads" / "pooled") or
 /// set_default_execution_engine.  Sanitizer builds default to
-/// kThreads because fiber context switches confuse thread/address
-/// sanitizers unless specially annotated.  Unknown SKIL_ENGINE values
+/// kThreads, the differential oracle, so a sanitized suite at engine
+/// defaults checks the reference engine; the pooled engine announces
+/// its fiber switches to ASan and TSan (executor.cpp) and is checked
+/// by forcing it with SKIL_ENGINE=pooled.  Unknown SKIL_ENGINE values
 /// fail loudly (ContractError) instead of silently running the
 /// default configuration.
 ExecutionEngine default_execution_engine();

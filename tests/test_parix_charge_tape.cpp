@@ -270,6 +270,36 @@ TEST(MultiCarrier, SetCarriersRoundTripsAndRejectsBadCounts) {
   EXPECT_THROW(executor_set_carriers(257), support::ContractError);
 }
 
+// The settlement memo is per carrier thread, so which carrier settles
+// which fiber moves the split between memo hits, misses, probes and
+// closed adds.  Only total_adds() and chain_adds are work identities;
+// one carrier on a fresh pool repeats every counter exactly.
+TEST(MultiCarrier, SettleWorkCountersDoNotDependOnPlacement) {
+  const SettleMode saved_settle = default_settle_mode();
+  set_default_settle_mode(SettleMode::kClosed);
+  auto run_on = [](int carriers) {
+    executor_set_carriers(carriers);  // a fresh pool: cold memos
+    return with_engine(ExecutionEngine::kPooled, [] {
+      return with_charge_path(ChargePath::kTape, [] {
+        return apps::gauss_skil(16, 64, skil::testing::kGoldenSeed, false).run;
+      });
+    });
+  };
+  const RunResult one = run_on(1);
+  const RunResult one_again = run_on(1);
+  const RunResult four = run_on(4);
+  executor_set_carriers(0);  // restore the SKIL_CARRIERS / hw default
+  set_default_settle_mode(saved_settle);
+
+  for (const auto& f : SettleCounters::fields())
+    EXPECT_EQ(one.settle.*f.member, one_again.settle.*f.member) << f.name;
+  EXPECT_GT(one.settle.closed_runs, 0u);
+  EXPECT_EQ(four.settle.total_adds(), one.settle.total_adds());
+  EXPECT_EQ(four.settle.chain_adds, one.settle.chain_adds);
+  EXPECT_EQ(one_again.proc_vtimes, one.proc_vtimes);
+  EXPECT_EQ(four.proc_vtimes, one.proc_vtimes);
+}
+
 // --- algebraic settlement: closed-form walk vs plain-chain oracle ---------
 
 // Twin-ledger differential: appends the same records to two ledgers,

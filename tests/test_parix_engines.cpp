@@ -1,14 +1,17 @@
 // Tests for the execution engines: golden virtual times pinned from
 // the original one-thread-per-processor implementation, differential
 // determinism between the threads and pooled engines, bulk-charge
-// identity, deadlock detection, and the templated spmd_run overload.
+// identity, deadlock detection, scheduler churn under stress, and the
+// templated spmd_run overload.
 //
 // The golden values (hexfloat, bit-exact) were captured from the seed
 // implementation; any engine or skeleton change that moves one of them
 // has changed the scientific artefact, not just the host performance.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <utility>
 #include <vector>
 
 #include "apps/gauss.h"
@@ -173,6 +176,110 @@ TEST(PooledEngine, RepeatedRunsReuseThePool) {
     const RunResult again = spmd_run(config, body);
     ASSERT_EQ(first.proc_vtimes, again.proc_vtimes);
   }
+}
+
+// --- scheduler churn and failure stress ----------------------------------
+
+constexpr int kHaloProcs = 64;
+constexpr int kHaloSteps = 200;
+constexpr int kHaloCells = 8;
+
+struct HaloRun {
+  RunResult run;
+  std::vector<std::vector<double>> cells;  // per processor, halo-free
+};
+
+/// A p = 64 Jacobi halo ring on fresh tags: every step each processor
+/// sends its edge cells to both neighbours and parks until theirs
+/// arrive -- the park/wake churn of the stencil workload.
+HaloRun halo_ring(ExecutionEngine engine) {
+  std::vector<std::vector<double>> cells(kHaloProcs);
+  RunConfig config{kHaloProcs, CostModel::t800(), engine};
+  RunResult run = spmd_run(config, [&cells](Proc& proc) {
+    const int p = proc.nprocs();
+    const int id = proc.id();
+    const int left = (id + p - 1) % p;
+    const int right = (id + 1) % p;
+    std::vector<double> u(kHaloCells + 2);
+    std::vector<double> next(kHaloCells + 2);
+    for (int i = 0; i < kHaloCells + 2; ++i) u[i] = id * 10.0 + i;
+    for (long step = 0; step < kHaloSteps; ++step) {
+      proc.send<double>(left, 2 * step, u[1]);
+      proc.send<double>(right, 2 * step + 1, u[kHaloCells]);
+      u[kHaloCells + 1] = proc.recv<double>(right, 2 * step);
+      u[0] = proc.recv<double>(left, 2 * step + 1);
+      for (int i = 1; i <= kHaloCells; ++i)
+        next[i] = 0.25 * u[i - 1] + 0.5 * u[i] + 0.25 * u[i + 1];
+      proc.charge(Op::kFloatOp, 4 * kHaloCells + id % 3);
+      std::swap(u, next);
+    }
+    cells[id].assign(u.begin() + 1, u.begin() + 1 + kHaloCells);
+  });
+  return {std::move(run), std::move(cells)};
+}
+
+TEST(SchedulerStress, HaloRingMatchesThreadsOnOneAndFourCarriers) {
+  const HaloRun reference = halo_ring(ExecutionEngine::kThreads);
+  for (int carriers : {1, 4}) {
+    SCOPED_TRACE(carriers);
+    executor_set_carriers(carriers);
+    const HaloRun pooled = halo_ring(ExecutionEngine::kPooled);
+    EXPECT_EQ(pooled.run.proc_vtimes, reference.run.proc_vtimes);
+    ASSERT_EQ(pooled.run.proc_stats.size(), reference.run.proc_stats.size());
+    for (std::size_t p = 0; p < pooled.run.proc_stats.size(); ++p)
+      EXPECT_EQ(pooled.run.proc_stats[p], reference.run.proc_stats[p]) << p;
+    EXPECT_EQ(pooled.cells, reference.cells);
+  }
+  executor_set_carriers(0);  // restore the SKIL_CARRIERS / hw default
+}
+
+TEST(SchedulerStress, FailureShapesAlwaysEndInRuntimeFault) {
+  // The three ways a pooled run can fail, repeated so the races between
+  // parks, wakes, finishes and poisoning get many interleavings.  Each
+  // must surface as a RuntimeFault; a hang here is a lost wakeup or a
+  // deadlock the census missed.
+  using Body = void (*)(Proc&);
+  const std::array<std::pair<const char*, Body>, 3> shapes = {{
+      {"every processor blocked",
+       [](Proc& proc) {
+         proc.recv<int>((proc.id() + 1) % proc.nprocs(), 42);
+       }},
+      {"deadlock completed by a finishing processor",
+       [](Proc& proc) {
+         if (proc.id() != 0) proc.recv<int>(0, 7);
+       }},
+      {"a throw poisons its peers",
+       [](Proc& proc) {
+         // A relay 0 -> 1 -> ... that processor 0 abandons midway.
+         if (proc.id() > 0) proc.recv<int>(proc.id() - 1, 9);
+         if (proc.id() == 0) {
+           proc.send<int>(1, 9, 0);
+           throw support::RuntimeFault("processor 0 gives up");
+         }
+         if (proc.id() + 1 < proc.nprocs()) proc.send<int>(proc.id() + 1, 9, 0);
+         proc.recv<int>(0, 10);
+       }},
+  }};
+  for (int carriers : {1, 4}) {
+    executor_set_carriers(carriers);
+    for (int i = 0; i < 200; ++i) {
+      for (const auto& [name, body] : shapes) {
+        RunConfig config{8, CostModel::t800(), ExecutionEngine::kPooled};
+        EXPECT_THROW(spmd_run(config, body), support::RuntimeFault)
+            << name << ", " << carriers << " carriers, iteration " << i;
+      }
+      // Processors that swallow the poisoning fault and return: the
+      // deadlock is reported once, and the run still ends normally.
+      RunConfig config{8, CostModel::t800(), ExecutionEngine::kPooled};
+      EXPECT_NO_THROW(spmd_run(config, [](Proc& proc) {
+        try {
+          proc.recv<int>((proc.id() + 1) % proc.nprocs(), 43);
+        } catch (const support::RuntimeFault&) {
+        }
+      })) << carriers << " carriers, iteration " << i;
+    }
+  }
+  executor_set_carriers(0);  // restore the SKIL_CARRIERS / hw default
 }
 
 // --- templated spmd_run ---------------------------------------------------
