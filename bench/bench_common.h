@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -20,16 +22,43 @@
 
 namespace skil::bench {
 
+/// Prints "<bench>: cannot write '<path>'" and exits with status 1:
+/// an unwritable output fails with a message, not an exception.
+[[noreturn]] inline void cannot_write(const support::Cli& cli,
+                                      const std::string& path) {
+  std::fprintf(stderr, "%s: cannot write '%s'\n",
+               std::filesystem::path(cli.program()).filename().c_str(),
+               path.c_str());
+  std::exit(1);
+}
+
+/// Writes `path` through `write(std::ostream&)`, or exits through
+/// cannot_write when it cannot be opened or written.
+template <typename Fn>
+void write_file(const support::Cli& cli, const std::string& path, Fn&& write) {
+  std::ofstream os(path);
+  if (os) write(os);
+  os.close();
+  if (!os) cannot_write(cli, path);
+  std::printf("wrote %s\n", path.c_str());
+}
+
 /// Output path for a bench artefact.  An explicit `--<flag>=path`
 /// wins verbatim; otherwise the default file name lands in
 /// `--out-dir` (default: the working directory).  Benches passing
-/// their outputs through this accept both flags.
+/// their outputs through this accept both flags.  The path is opened
+/// for appending once, so an unwritable one exits through
+/// cannot_write before the bench does any work.
 inline std::string out_path(const support::Cli& cli, const std::string& flag,
                             const std::string& default_name) {
-  if (cli.has(flag)) return cli.get(flag, default_name);
-  const std::string dir = cli.get("out-dir", "");
-  if (dir.empty()) return default_name;
-  return dir.back() == '/' ? dir + default_name : dir + "/" + default_name;
+  std::string path = cli.get(flag, default_name);
+  if (!cli.has(flag)) {
+    const std::string dir = cli.get("out-dir", "");
+    if (!dir.empty())
+      path = dir.back() == '/' ? dir + default_name : dir + "/" + default_name;
+  }
+  if (!std::ofstream(path, std::ios::app)) cannot_write(cli, path);
+  return path;
 }
 
 /// Seconds of modeled time, formatted like the paper's tables.
@@ -68,8 +97,7 @@ auto traced_rerun(Fn&& fn) {
 /// Writes the Chrome trace (--trace-out) and/or metrics JSON
 /// (--metrics-out) for a completed traced run.  An explicit flag value
 /// is a verbatim file path; a bare default name lands in --out-dir via
-/// out_path.  The Chrome export merges the SKIL_PROF=sampled host
-/// timeline (RunResult::prof) when the run carried one.
+/// out_path.
 inline void write_run_artifacts(const support::Cli& cli,
                                 const parix::RunResult& run,
                                 const std::string& stem) {
@@ -87,20 +115,16 @@ inline void write_run_artifacts(const support::Cli& cli,
   if (cli.has("trace-out") && run.trace != nullptr) {
     const std::string path = artefact_path("trace-out",
                                            "trace_" + stem + ".json");
-    std::ofstream os(path);
-    SKIL_ASSERT(os.good(), "cannot open trace output file: " + path);
-    parix::write_chrome_trace(*run.trace, run.prof.get(), os);
-    SKIL_ASSERT(os.good(), "failed writing trace output file: " + path);
-    std::printf("wrote %s\n", path.c_str());
+    write_file(cli, path, [&](std::ostream& os) {
+      parix::write_chrome_trace(*run.trace, os);
+    });
   }
   if (cli.has("metrics-out")) {
     const std::string path = artefact_path("metrics-out",
                                            "metrics_" + stem + ".json");
-    std::ofstream os(path);
-    SKIL_ASSERT(os.good(), "cannot open metrics output file: " + path);
-    parix::write_metrics_json(run, os);
-    SKIL_ASSERT(os.good(), "failed writing metrics output file: " + path);
-    std::printf("wrote %s\n", path.c_str());
+    write_file(cli, path, [&](std::ostream& os) {
+      parix::write_metrics_json(run, os);
+    });
   }
 }
 

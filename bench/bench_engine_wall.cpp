@@ -11,7 +11,7 @@
 //                          [--reps=N] [--jobs=N|auto]
 //                          [--carriers=N|auto] [--charge=interp|tape]
 //                          [--settle=chain|closed] [--fuse=off|on]
-//                          [--prof=off|counters|sampled]
+//                          [--prof=off|counters]
 //                          [--coll=tree|ring|rd|auto]
 //                          [--engine=threads|pooled|both] [--trace-out=dir]
 //
@@ -21,12 +21,12 @@
 //
 // --jobs forks one worker process per (p, n) cell, up to N at a time
 // (virtual times are per-cell deterministic, so the assembled grid is
-// identical); --jobs=auto resolves to the host's hardware
-// concurrency.  --carriers pins the pooled engine's carrier-thread
-// count (exported as SKIL_CARRIERS so forked cell workers inherit
-// it); 'auto' resolves to hardware concurrency.  --charge selects the
-// accounting path of the skeleton hot loops (default: the process
-// default, i.e. SKIL_CHARGE or tape).
+// identical); --jobs=auto resolves to the host's usable cores (its
+// CPU affinity mask, support::host_cores).  --carriers pins the
+// pooled engine's carrier-thread count (exported as SKIL_CARRIERS so
+// forked cell workers inherit it); 'auto' resolves to the usable
+// cores.  --charge selects the accounting path of the skeleton hot
+// loops (default: the process default, i.e. SKIL_CHARGE or tape).
 // --settle selects the ledger settlement strategy (charge_tape.h;
 // default: the process default, i.e. SKIL_SETTLE or closed) -- both
 // modes retire the identical add chain, so it moves wall time only.
@@ -48,9 +48,10 @@
 // same-build tree/auto A/B.
 // --trace-out runs one representative cell again under full tracing
 // (after the timed sweep, so the timings stay untraced) and writes its
-// Chrome trace + metrics JSON (parix/metrics.h) into the directory;
-// under --prof=sampled the trace also carries the host carrier lanes.
-// A bad knob value prints the accepted values and exits with status 2.
+// Chrome trace + metrics JSON (parix/metrics.h) into the directory.
+// A bad knob value prints the accepted values and exits with status 2;
+// an unwritable --json path or --trace-out directory exits with
+// status 1 before the sweep starts.
 //
 // The JSON report (default BENCH_engine.json, schema_version 9)
 // records the run configuration (reps, jobs, nproc, charge path,
@@ -112,9 +113,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
-#include <thread>
+#include <system_error>
 #include <vector>
 
 #include "apps/gauss.h"
@@ -126,6 +126,7 @@
 #include "parix/runtime.h"
 #include "parix/trace.h"
 #include "support/cli.h"
+#include "support/env.h"
 #include "support/error.h"
 #include "support/fields.h"
 
@@ -144,10 +145,10 @@ int main(int argc, char** argv) {
   // The host timer is noisy (shared machine); the minimum over reps is
   // the standard robust estimator of the undisturbed wall time.
   const int reps = std::max(1, cli.get_int("reps", 1));
-  const int jobs =
-      cli.get("jobs", "1") == "auto"
-          ? static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))
-          : std::max(1, cli.get_int("jobs", 1));
+  const int host_cores = support::host_cores();
+  const int jobs = cli.get("jobs", "1") == "auto"
+                       ? host_cores
+                       : std::max(1, cli.get_int("jobs", 1));
   // The knob parsers raise ContractError naming the accepted values;
   // a bad value is a usage error, not a crash.
   int carriers = 0;
@@ -203,15 +204,25 @@ int main(int argc, char** argv) {
   const std::string prof_name(parix::prof_mode_name(prof_mode));
   const std::string coll_name(
       parix::coll_mode_name(parix::default_coll_mode()));
+  // Both outputs are checked before the sweep, so a bad path costs no
+  // run.
+  const std::string trace_dir = cli.get("trace-out", ".");
+  if (cli.has("trace-out")) {
+    std::error_code ec;
+    std::filesystem::create_directories(trace_dir, ec);
+    if (!std::filesystem::is_directory(trace_dir, ec))
+      cannot_write(cli, trace_dir);
+  }
+  const std::string path = out_path(cli, "json", "BENCH_engine.json");
   const std::uint64_t seed = 19960528;
   const auto ns = paper_ns(quick);
   const auto ps = paper_ps();
 
   banner("Execution engines -- wall clock on the Table 2 grid");
-  std::printf("grid: n in {%d..%d}, p in {4, 16, 32, 64}; host threads: %u; "
+  std::printf("grid: n in {%d..%d}, p in {4, 16, 32, 64}; host cores: %d; "
               "jobs: %d; carriers: %d; charge path: %s; settle: %s; "
               "fuse: %s; prof: %s; coll: %s\n\n",
-              ns.front(), ns.back(), std::thread::hardware_concurrency(),
+              ns.front(), ns.back(), host_cores,
               jobs, carriers, charge_name, settle_name.c_str(),
               fuse_name.c_str(), prof_name.c_str(), coll_name.c_str());
 
@@ -318,8 +329,6 @@ int main(int argc, char** argv) {
   std::string trace_path, metrics_path;
   int trace_p = 0, trace_n = 0;
   if (cli.has("trace-out")) {
-    const std::string dir = cli.get("trace-out", ".");
-    std::filesystem::create_directories(dir);
     trace_p = quick ? 4 : 16;
     trace_n = quick ? 64 : 128;
     const parix::TraceMode saved_trace = parix::default_trace_mode();
@@ -329,20 +338,14 @@ int main(int argc, char** argv) {
     parix::set_default_trace_mode(saved_trace);
     const std::string cell = "gauss_p" + std::to_string(trace_p) + "_n" +
                              std::to_string(trace_n);
-    trace_path = dir + "/trace_" + cell + ".json";
-    metrics_path = dir + "/metrics_" + cell + ".json";
-    {
-      // Under --prof=sampled the run carries a host timeline; the
-      // merged export shows carrier lanes next to the virtual ones.
-      std::ofstream os(trace_path);
-      parix::write_chrome_trace(*traced.run.trace, traced.run.prof.get(), os);
-    }
-    {
-      std::ofstream os(metrics_path);
+    trace_path = trace_dir + "/trace_" + cell + ".json";
+    metrics_path = trace_dir + "/metrics_" + cell + ".json";
+    write_file(cli, trace_path, [&](std::ostream& os) {
+      parix::write_chrome_trace(*traced.run.trace, os);
+    });
+    write_file(cli, metrics_path, [&](std::ostream& os) {
       parix::write_metrics_json(traced.run, os);
-    }
-    std::printf("wrote %s\nwrote %s\n", trace_path.c_str(),
-                metrics_path.c_str());
+    });
   }
 
   const double speedup =
@@ -354,98 +357,97 @@ int main(int argc, char** argv) {
                 runs.back().name, baseline_s, baseline_s / runs.back().wall_s);
   shape_check("virtual times bit-identical across engines", identical);
 
-  const std::string path = out_path(cli, "json", "BENCH_engine.json");
-  if (FILE* out = std::fopen(path.c_str(), "w")) {
+  FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) cannot_write(cli, path);
+  std::fprintf(out,
+               "{\n"
+               "  \"schema_version\": 9,\n"
+               "  \"benchmark\": \"bench_engine_wall\",\n"
+               "  \"grid\": \"table2_gauss%s\",\n"
+               "  \"reps\": %d,\n"
+               "  \"jobs\": %d,\n"
+               "  \"carriers\": %d,\n"
+               "  \"nproc\": %d,\n"
+               "  \"charge\": \"%s\",\n"
+               "  \"settle\": \"%s\",\n"
+               "  \"fuse\": \"%s\",\n"
+               "  \"prof\": \"%s\",\n"
+               "  \"coll\": \"%s\",\n"
+               "  \"engines\": [\n",
+               quick ? "_quick" : "", reps, jobs, carriers,
+               host_cores, charge_name,
+               settle_name.c_str(), fuse_name.c_str(), prof_name.c_str(),
+               coll_name.c_str());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const EngineRun& run = runs[r];
     std::fprintf(out,
-                 "{\n"
-                 "  \"schema_version\": 9,\n"
-                 "  \"benchmark\": \"bench_engine_wall\",\n"
-                 "  \"grid\": \"table2_gauss%s\",\n"
-                 "  \"reps\": %d,\n"
-                 "  \"jobs\": %d,\n"
-                 "  \"carriers\": %d,\n"
-                 "  \"nproc\": %u,\n"
-                 "  \"charge\": \"%s\",\n"
-                 "  \"settle\": \"%s\",\n"
-                 "  \"fuse\": \"%s\",\n"
-                 "  \"prof\": \"%s\",\n"
-                 "  \"coll\": \"%s\",\n"
-                 "  \"engines\": [\n",
-                 quick ? "_quick" : "", reps, jobs, carriers,
-                 std::thread::hardware_concurrency(), charge_name,
-                 settle_name.c_str(), fuse_name.c_str(), prof_name.c_str(),
-                 coll_name.c_str());
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      const EngineRun& run = runs[r];
+                 "    {\"engine\": \"%s\", \"wall_seconds\": %.3f, "
+                 "\"median_wall_seconds\": %.3f, "
+                 "\"rep_wall_seconds\": [",
+                 run.name, run.wall_s, median_of(run.rep_walls));
+    for (std::size_t i = 0; i < run.rep_walls.size(); ++i)
+      std::fprintf(out, "%s%.3f", i == 0 ? "" : ", ", run.rep_walls[i]);
+    std::fprintf(out, "], \"cells\": [");
+    for (std::size_t i = 0; i < run.cells.size(); ++i) {
+      const GaussCell& cell = run.cells[i];
+      // Virtual times at %.17g: full double round-trip precision, so
+      // two report files diff bit-identically (the CI settlement
+      // smoke compares chain vs closed reports this way).
       std::fprintf(out,
-                   "    {\"engine\": \"%s\", \"wall_seconds\": %.3f, "
-                   "\"median_wall_seconds\": %.3f, "
-                   "\"rep_wall_seconds\": [",
-                   run.name, run.wall_s, median_of(run.rep_walls));
-      for (std::size_t i = 0; i < run.rep_walls.size(); ++i)
-        std::fprintf(out, "%s%.3f", i == 0 ? "" : ", ", run.rep_walls[i]);
-      std::fprintf(out, "], \"cells\": [");
-      for (std::size_t i = 0; i < run.cells.size(); ++i) {
-        const GaussCell& cell = run.cells[i];
-        // Virtual times at %.17g: full double round-trip precision, so
-        // two report files diff bit-identically (the CI settlement
-        // smoke compares chain vs closed reports this way).
-        std::fprintf(out,
-                     "%s{\"p\": %d, \"n\": %d, \"wall_seconds\": %.3f, "
-                     "\"skil_vtime_s\": %.17g, \"dpfl_vtime_s\": %.17g, "
-                     "\"c_vtime_s\": %.17g}",
-                     i == 0 ? "" : ", ", cell.p, cell.n, cell.wall_s,
-                     cell.skil_s, cell.dpfl_s, cell.c_s);
-      }
-      // Counter blocks, summed over the best rep's cells.  coll_counters
-      // is always written (like fusion_counters): a tree-mode report
-      // documents the zoo stayed off by showing zero non-tree picks.
-      // The scheduler block is written only when profiling was on: an
-      // off-mode report must be indistinguishable from a pre-v7 run's
-      // (the validator enforces absence).
-      const GaussCell totals = sum_counters(run.cells);
-      char coverage[32];
-      std::snprintf(coverage, sizeof coverage, "%.6f",
-                    totals.settle.closed_coverage());
-      std::string json = "], \"settle_counters\": ";
-      support::JsonObject(json, true)
-          .fields(totals.settle)
-          .raw("closed_coverage", coverage)
-          .close();
-      json += ", \"fusion_counters\": ";
-      support::JsonObject(json, true).fields(totals.fusion).close();
-      json += ", \"coll_counters\": ";
-      parix::write_coll_json(json, totals.coll, true);
-      if (prof_mode != parix::ProfMode::kOff) {
-        json += ", \"scheduler\": ";
-        support::JsonObject(json, true).fields(totals.sched).close();
-      }
-      std::fputs(json.c_str(), out);
-      std::fprintf(out, "}%s\n", r + 1 < runs.size() ? "," : "");
+                   "%s{\"p\": %d, \"n\": %d, \"wall_seconds\": %.3f, "
+                   "\"skil_vtime_s\": %.17g, \"dpfl_vtime_s\": %.17g, "
+                   "\"c_vtime_s\": %.17g}",
+                   i == 0 ? "" : ", ", cell.p, cell.n, cell.wall_s,
+                   cell.skil_s, cell.dpfl_s, cell.c_s);
     }
-    std::fprintf(out, "  ],\n");
-    if (runs.size() == 2)
-      std::fprintf(out, "  \"pooled_speedup_over_threads\": %.3f,\n", speedup);
-    if (baseline_s > 0.0)
-      std::fprintf(out,
-                   "  \"baseline_wall_seconds\": %.3f,\n"
-                   "  \"baseline_provenance\": \"%s\",\n"
-                   "  \"pooled_speedup_over_baseline\": %.3f,\n",
-                   baseline_s, baseline_note.c_str(),
-                   baseline_s / runs.back().wall_s);
-    if (!trace_path.empty())
-      std::fprintf(out,
-                   "  \"trace\": {\"app\": \"gauss_skil\", \"p\": %d, "
-                   "\"n\": %d, \"trace_json\": \"%s\", "
-                   "\"metrics_json\": \"%s\"},\n",
-                   trace_p, trace_n, trace_path.c_str(),
-                   metrics_path.c_str());
-    std::fprintf(out,
-                 "  \"vtimes_identical_across_engines\": %s\n"
-                 "}\n",
-                 identical ? "true" : "false");
-    std::fclose(out);
-    std::printf("wrote %s\n", path.c_str());
+    // Counter blocks, summed over the best rep's cells.  coll_counters
+    // is always written (like fusion_counters): a tree-mode report
+    // documents the zoo stayed off by showing zero non-tree picks.
+    // The scheduler block is written only when profiling was on: an
+    // off-mode report must be indistinguishable from a pre-v7 run's
+    // (the validator enforces absence).
+    const GaussCell totals = sum_counters(run.cells);
+    char coverage[32];
+    std::snprintf(coverage, sizeof coverage, "%.6f",
+                  totals.settle.closed_coverage());
+    std::string json = "], \"settle_counters\": ";
+    support::JsonObject(json, true)
+        .fields(totals.settle)
+        .raw("closed_coverage", coverage)
+        .close();
+    json += ", \"fusion_counters\": ";
+    support::JsonObject(json, true).fields(totals.fusion).close();
+    json += ", \"coll_counters\": ";
+    parix::write_coll_json(json, totals.coll, true);
+    if (prof_mode != parix::ProfMode::kOff) {
+      json += ", \"scheduler\": ";
+      support::JsonObject(json, true).fields(totals.sched).close();
+    }
+    std::fputs(json.c_str(), out);
+    std::fprintf(out, "}%s\n", r + 1 < runs.size() ? "," : "");
   }
+  std::fprintf(out, "  ],\n");
+  if (runs.size() == 2)
+    std::fprintf(out, "  \"pooled_speedup_over_threads\": %.3f,\n", speedup);
+  if (baseline_s > 0.0)
+    std::fprintf(out,
+                 "  \"baseline_wall_seconds\": %.3f,\n"
+                 "  \"baseline_provenance\": \"%s\",\n"
+                 "  \"pooled_speedup_over_baseline\": %.3f,\n",
+                 baseline_s, baseline_note.c_str(),
+                 baseline_s / runs.back().wall_s);
+  if (!trace_path.empty())
+    std::fprintf(out,
+                 "  \"trace\": {\"app\": \"gauss_skil\", \"p\": %d, "
+                 "\"n\": %d, \"trace_json\": \"%s\", "
+                 "\"metrics_json\": \"%s\"},\n",
+                 trace_p, trace_n, trace_path.c_str(),
+                 metrics_path.c_str());
+  std::fprintf(out,
+               "  \"vtimes_identical_across_engines\": %s\n"
+               "}\n",
+               identical ? "true" : "false");
+  if (std::fclose(out) != 0) cannot_write(cli, path);
+  std::printf("wrote %s\n", path.c_str());
   return identical ? 0 : 1;
 }

@@ -11,7 +11,7 @@
 # settlement counters
 # (closed-form coverage), the fusion counters (compositions seen /
 # fused / rejected, barriers and tape passes eliminated), the
-# scheduler totals when profiled (--prof=counters|sampled: fibers,
+# scheduler totals when profiled (--prof=counters: fibers,
 # steals, parks, pool hits), the collective counters, and the engine
 # totals; with --trace-out the record also names the exported
 # trace/metrics files.  scripts/validate_bench_json.py checks the
@@ -31,7 +31,7 @@
 # --fuse=off|on to select the skeleton fusion mode (default: off;
 # exported as SKIL_FUSE -- record an off/on pair at the same config
 # for the EXPERIMENTS.md W6 same-build A/B),
-# --prof=off|counters|sampled to select the host scheduler profiler
+# --prof=off|counters to select the host scheduler profiler
 # (default: off; exported as SKIL_PROF; a profiled record carries the
 # scheduler totals),
 # --coll=tree|ring|rd|auto to select the collective-algorithm family
@@ -54,7 +54,7 @@
 #                                    [--charge=interp|tape]
 #                                    [--settle=chain|closed]
 #                                    [--fuse=off|on]
-#                                    [--prof=off|counters|sampled]
+#                                    [--prof=off|counters]
 #                                    [--coll=tree|ring|rd|auto]
 #                                    [--engine=threads|pooled|both]
 #                                    [--baseline=secs]

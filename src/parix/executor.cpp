@@ -22,6 +22,7 @@
 #include "parix/mailbox.h"
 #include "parix/proc.h"
 #include "parix/prof.h"
+#include "support/env.h"
 #include "support/error.h"
 
 // Fiber switches are invisible to the sanitizers unless announced:
@@ -221,19 +222,17 @@ struct alignas(64) RunQueue {
   std::deque<Fiber*> fibers;
   std::atomic<int> size{0};
 
-  int push(Fiber* fiber) {  // returns the new length
+  void push(Fiber* fiber) {
     const std::scoped_lock lock(mutex);
     fibers.push_back(fiber);
     size.store(static_cast<int>(fibers.size()), std::memory_order_relaxed);
-    return static_cast<int>(fibers.size());
   }
-  Fiber* pop(int& depth) {  // oldest fiber or null; depth: length left
+  Fiber* pop() {  // oldest fiber or null
     const std::scoped_lock lock(mutex);
     if (fibers.empty()) return nullptr;
     Fiber* fiber = fibers.front();
     fibers.pop_front();
-    depth = static_cast<int>(fibers.size());
-    size.store(depth, std::memory_order_relaxed);
+    size.store(static_cast<int>(fibers.size()), std::memory_order_relaxed);
     return fiber;
   }
 };
@@ -354,9 +353,9 @@ class Scheduler {
   int carriers();
 
   /// Overrides the carrier count (0 = resolve SKIL_CARRIERS /
-  /// hardware_concurrency again).  Stops the current pool; the next
-  /// run respawns it at the new width.  Must not be called from
-  /// inside a run.
+  /// host_cores again).  Stops the current pool; the next run
+  /// respawns it at the new width.  Must not be called from inside a
+  /// run.
   void set_carriers(int n);
 
   /// Spawns the pool (if needed) and sizes the profiling registry to
@@ -409,11 +408,11 @@ class Scheduler {
   std::vector<Fiber*> free_fibers_;                 // recycled, off-stack
   std::vector<std::thread> workers_;
   /// Carrier count of the running pool (0 = no pool).  Admission cap:
-  /// only min(carriers, hardware_concurrency) carriers are spawned, as
+  /// only min(carriers, host_cores) carriers are spawned, as
   /// oversubscribed cores turn scheduler wakeups into kernel context
   /// switches; the extra lanes of a larger SKIL_CARRIERS stay idle.
   int carriers_ = 0;
-  int desired_carriers_ = 0;  // 0 = auto (SKIL_CARRIERS / hw concurrency)
+  int desired_carriers_ = 0;  // 0 = auto (SKIL_CARRIERS / host cores)
   bool shutdown_ = false;
 
   /// One spmd run owns the pool at a time; concurrent host callers
@@ -451,8 +450,7 @@ int Scheduler::resolve_carriers_locked() {
       return static_cast<int>(n);
     }
   }
-  unsigned n = std::thread::hardware_concurrency();
-  return static_cast<int>(std::clamp(n, 1u, 16u));
+  return std::clamp(support::host_cores(), 1, 16);
 }
 
 int Scheduler::carriers() {
@@ -467,9 +465,7 @@ void Scheduler::spawn_workers_locked() {
   // must always cover every live carrier index.
   if (prof_detail::g_registry.load(std::memory_order_relaxed) != nullptr)
     prof_ensure_registry(n);
-  const unsigned hc = std::thread::hardware_concurrency();
-  const int admitted =
-      hc == 0 ? n : std::max(1, std::min(n, static_cast<int>(hc)));
+  const int admitted = std::min(n, support::host_cores());
   carriers_ = n;
   nqueues_ = admitted;
   queues_ = std::make_unique<RunQueue[]>(static_cast<std::size_t>(admitted));
@@ -510,11 +506,7 @@ void Scheduler::prof_prepare() {
 }
 
 void Scheduler::enqueue(Fiber* fiber) {
-  const int home = fiber->home.load(std::memory_order_relaxed);
-  const int depth = queues_[home].push(fiber);
-  if (ProfRegistry* const prof = prof_registry();
-      prof != nullptr && home < prof->n) [[unlikely]]
-    prof->carriers[home].queue_depth.store(depth, std::memory_order_relaxed);
+  queues_[fiber->home.load(std::memory_order_relaxed)].push(fiber);
   // Pairs with the fence in sleep_until_work: either this load sees
   // the sleeper, or the sleeper's re-check sees the size above.
   std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -529,22 +521,14 @@ Fiber* Scheduler::pop_ready(int index) {
   const bool counted = prof != nullptr && index < prof->n;
   // Own queue first (affinity), then steal round-robin from the rest.
   for (int i = 0; i < nqueues_; ++i) {
-    const int owner = (index + i) % nqueues_;
-    RunQueue& queue = queues_[owner];
+    RunQueue& queue = queues_[(index + i) % nqueues_];
     if (counted && i > 0) [[unlikely]]
       prof->carriers[index].bump(&CarrierReport::steal_attempts);
-    int depth = 0;
-    Fiber* const fiber = queue.size.load(std::memory_order_relaxed) > 0
-                             ? queue.pop(depth)
-                             : nullptr;
+    Fiber* const fiber =
+        queue.size.load(std::memory_order_relaxed) > 0 ? queue.pop() : nullptr;
     if (fiber == nullptr) continue;
-    if (prof != nullptr) [[unlikely]] {
-      if (counted && i > 0)
-        prof->carriers[index].bump(&CarrierReport::steal_successes);
-      if (owner < prof->n)
-        prof->carriers[owner].queue_depth.store(depth,
-                                                std::memory_order_relaxed);
-    }
+    if (counted && i > 0) [[unlikely]]
+      prof->carriers[index].bump(&CarrierReport::steal_successes);
     return fiber;
   }
   if (counted) [[unlikely]]
@@ -624,7 +608,6 @@ void Scheduler::dispatch(int index, Fiber* fiber, Context& worker_context) {
     CarrierCounters& pc = prof->carriers[index];
     pc.bump(&CarrierReport::fibers_run);
     if (resumed) pc.bump(&CarrierReport::fibers_resumed);
-    pc.running_proc.store(fiber->proc->id(), std::memory_order_relaxed);
     prof_t0 = std::chrono::steady_clock::now();
   }
 
@@ -635,15 +618,13 @@ void Scheduler::dispatch(int index, Fiber* fiber, Context& worker_context) {
   sanitizer_finish_switch(fake_stack);
   tl_fiber = nullptr;
 
-  if (prof != nullptr && index < prof->n) [[unlikely]] {
-    CarrierCounters& pc = prof->carriers[index];
-    pc.bump(&CarrierReport::run_ns,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - prof_t0)
-                    .count()));
-    pc.running_proc.store(-1, std::memory_order_relaxed);
-  }
+  if (prof != nullptr && index < prof->n) [[unlikely]]
+    prof->carriers[index].bump(
+        &CarrierReport::run_ns,
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - prof_t0)
+                .count()));
 
   FiberState state = FiberState::kParking;
   if (fiber->state.compare_exchange_strong(state, FiberState::kParked,

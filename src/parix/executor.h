@@ -1,7 +1,7 @@
 // The pooled SPMD execution engine.
 //
 // A process-wide scheduler owns a small set of persistent worker
-// threads (capped at the host's hardware concurrency) and multiplexes
+// threads (capped at the host's usable cores) and multiplexes
 // the virtual processors of an spmd_run as user-space fibers: each
 // processor is a run-to-completion task that *parks* (swaps back to
 // its worker) when a receive finds its mailbox bucket empty and is
@@ -19,8 +19,8 @@
 // threads engine raises on timeout.
 //
 // The pool runs N *carrier* threads (SKIL_CARRIERS, default the
-// host's hardware concurrency) with one locked run queue per carrier
-// and work stealing between them.  Dispatch, park and wake take no
+// host's usable cores, support::host_cores) with one locked run queue
+// per carrier and work stealing between them.  Dispatch, park and wake take no
 // global lock: a fiber's state is one atomic, and each of the three
 // steps is one CAS on it (DESIGN.md section 7).  A fiber is driven by
 // one carrier at a time, which preserves the trace layer's lock-free
@@ -49,13 +49,13 @@ class Mailbox;
 bool executor_in_fiber();
 
 /// Number of carrier threads the pooled engine runs (or would run: if
-/// the pool is not up yet, the count SKIL_CARRIERS / the hardware
-/// would resolve to).
+/// the pool is not up yet, the count SKIL_CARRIERS / the host's
+/// cores would resolve to).
 int executor_carriers();
 
 /// Overrides the carrier count for subsequent pooled runs (0 restores
-/// the SKIL_CARRIERS / hardware_concurrency default).  Tears down the
-/// current pool -- the next run respawns it at the new width.
+/// the SKIL_CARRIERS / host_cores default).  Tears down the current
+/// pool -- the next run respawns it at the new width.
 /// SKIL_CARRIERS=1 reproduces the PR 3 single-queue behaviour.  Must
 /// not be called from inside a run.
 void executor_set_carriers(int n);

@@ -249,11 +249,6 @@ CriticalPath analyze_critical_path(const Trace& trace) {
 }
 
 void write_chrome_trace(const Trace& trace, std::ostream& out) {
-  write_chrome_trace(trace, nullptr, out);
-}
-
-void write_chrome_trace(const Trace& trace, const ProfTimeline* prof,
-                        std::ostream& out) {
   out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"timeline\":"
          "\"virtual microseconds\",\"trace_mode\":\""
       << trace_mode_name(trace.mode) << "\"},\"traceEvents\":[\n";
@@ -326,84 +321,6 @@ void write_chrome_trace(const Trace& trace, const ProfTimeline* prof,
     }
   }
 
-  // SKIL_PROF=sampled host timeline: a second Perfetto process (pid 1)
-  // with one lane per carrier thread.  Timestamps are *wall*
-  // microseconds on the same epoch as the virtual lanes' wall_ns args
-  // (ProfSampler shares the trace recorder's wall epoch), so host and
-  // virtual activity line up when both are loaded.  Occupancy ("which
-  // vproc is this carrier running") becomes X slices spanning
-  // consecutive samples that observed the same fiber; cumulative
-  // counters become per-tick deltas on "ph":"C" counter tracks.
-  if (prof != nullptr && !prof->samples.empty() && prof->carriers > 0) {
-    sep() << "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
-             "\"args\":{\"name\":\"host carriers\"}}";
-    sep() << "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_sort_index\","
-             "\"args\":{\"sort_index\":1}}";
-    for (int c = 0; c < prof->carriers; ++c) {
-      sep() << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << c
-            << ",\"name\":\"thread_name\",\"args\":{\"name\":\"carrier " << c
-            << "\"}}";
-      sep() << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << c
-            << ",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":" << c
-            << "}}";
-    }
-
-    struct LaneState {
-      bool open = false;        // an occupancy slice is in progress
-      int proc = -1;            // vproc of the open slice
-      double start_us = 0.0;    // open slice start
-      double last_us = 0.0;     // most recent sample on this lane
-      bool has_prev = false;    // cumulative counters seeded
-      std::uint64_t fibers_run = 0;
-      std::uint64_t steal_successes = 0;
-    };
-    std::vector<LaneState> lanes(static_cast<std::size_t>(prof->carriers));
-
-    const auto close_slice = [&](int c, LaneState& lane, double end_us) {
-      if (lane.open && end_us > lane.start_us) {
-        sep() << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << c
-              << ",\"ts\":" << fmt_double(lane.start_us)
-              << ",\"dur\":" << fmt_double(end_us - lane.start_us)
-              << ",\"cat\":\"host\",\"name\":\"vproc " << lane.proc << "\"}";
-      }
-      lane.open = false;
-    };
-
-    for (const ProfSample& s : prof->samples) {
-      if (s.carrier < 0 || s.carrier >= prof->carriers) continue;
-      LaneState& lane = lanes[static_cast<std::size_t>(s.carrier)];
-      const double ts_us = static_cast<double>(s.wall_ns) / 1000.0;
-
-      if (lane.open && lane.proc != s.running_proc)
-        close_slice(s.carrier, lane, ts_us);
-      if (!lane.open && s.running_proc >= 0) {
-        lane.open = true;
-        lane.proc = s.running_proc;
-        lane.start_us = ts_us;
-      }
-
-      sep() << "{\"ph\":\"C\",\"pid\":1,\"tid\":" << s.carrier
-            << ",\"ts\":" << fmt_double(ts_us) << ",\"name\":\"carrier "
-            << s.carrier << " ready\",\"args\":{\"fibers\":" << s.queue_depth
-            << "}}";
-      if (lane.has_prev) {
-        sep() << "{\"ph\":\"C\",\"pid\":1,\"tid\":" << s.carrier
-              << ",\"ts\":" << fmt_double(ts_us) << ",\"name\":\"carrier "
-              << s.carrier << " activity\",\"args\":{\"dispatched\":"
-              << (s.fibers_run - lane.fibers_run) << ",\"stolen\":"
-              << (s.steal_successes - lane.steal_successes) << "}}";
-      }
-      lane.fibers_run = s.fibers_run;
-      lane.steal_successes = s.steal_successes;
-      lane.has_prev = true;
-      lane.last_us = ts_us;
-    }
-    for (int c = 0; c < prof->carriers; ++c) {
-      LaneState& lane = lanes[static_cast<std::size_t>(c)];
-      close_slice(c, lane, lane.last_us);
-    }
-  }
-
   out << "\n]}\n";
 }
 
@@ -459,7 +376,7 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
   write_coll_json(json, result.coll, false);
 
   // Host scheduler observatory (prof.h): present only when the run was
-  // profiled (SKIL_PROF=counters|sampled).  Everything in this block is
+  // profiled (SKIL_PROF=counters).  Everything in this block is
   // *host* measurement -- wall nanoseconds and scheduler event counts
   // -- and never feeds the virtual timeline; an unprofiled run of the
   // same workload produces bit-identical vtimes with no block at all.
@@ -470,7 +387,6 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
     sched.str("prof", prof_mode_name(sr.mode))
         .num("carriers", sr.carriers)
         .num("wall_ns", sr.wall_ns)
-        .num("samples", sr.samples)
         .key("per_carrier") += '[';
     for (std::size_t c = 0; c < sr.per_carrier.size(); ++c) {
       const CarrierReport& lane = sr.per_carrier[c];
@@ -494,9 +410,7 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
         .fields(sr.pool)
         .raw("hit_rate", fmt_double(pool_hit_rate))
         .close();
-    sched.num("memo_hits", result.settle.memo_hits)
-        .num("memo_misses", result.settle.memo_misses)
-        .close();
+    sched.close();
   }
   out << json;
 

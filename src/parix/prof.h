@@ -1,10 +1,13 @@
-// Host-timeline profiling for the pooled multi-carrier engine
-// (SKIL_PROF=off|counters|sampled).
+// Host scheduler counters for the pooled multi-carrier engine
+// (SKIL_PROF=off|counters).
 //
 // The PR 3 trace layer made the *simulated* machine observable; this
-// layer observes the *host* engine underneath it: what each carrier
-// thread spent its wall time on (running fibers, stealing, parked)
-// and how the BufferPool arena behaved.  Two hard rules, inherited
+// layer counts what the *host* engine underneath it did: how often
+// each carrier thread ran, resumed, stole and parked fibers, how much
+// wall time it spent inside them, and how the BufferPool arena
+// behaved.  The counters are exact; there is no wall-clock sampler (a
+// 1 kHz tick cannot attribute time inside a fiber, DESIGN.md section
+// 14).  Two hard rules, inherited
 // from the trace layer's off-mode discipline:
 //
 //  1. Off mode costs one untaken branch per hot-path site and performs
@@ -27,9 +30,7 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -40,7 +41,6 @@ namespace skil::parix {
 enum class ProfMode {
   kOff = 0,      ///< No profiling; one untaken branch per site.
   kCounters,     ///< Per-carrier counters, aggregated on RunResult.
-  kSampled,      ///< Counters + a low-frequency host-timeline sampler.
 };
 
 ProfMode parse_prof_mode(std::string_view name);
@@ -79,18 +79,13 @@ struct CarrierReport {
 /// One carrier thread's live lane, padded to its own cache line so two
 /// carriers rarely contend.  Most counters are written by the owning
 /// carrier; a waker on another carrier books `parks` and `unparks` on
-/// the lane of the carrier that parked the fiber, and the
-/// `queue_depth` gauge is set by whichever carrier pushes to or steals
-/// from that lane's queue.  Every write is a relaxed atomic RMW or
-/// store, and the sampler and aggregator read without synchronization
-/// through relaxed atomic refs: every counter is monotone, so a torn
-/// read across fields is harmless and a per-field relaxed read is
-/// exact.
+/// the lane of the carrier that parked the fiber.  Every write is a
+/// relaxed atomic RMW, and the aggregator reads without
+/// synchronization through relaxed atomic refs: every counter is
+/// monotone, so a torn read across fields is harmless and a per-field
+/// relaxed read is exact.
 struct alignas(64) CarrierCounters {
   CarrierReport counts;  ///< touched only through bump() and read()
-  // Gauges for the sampler (not part of the delta report).
-  std::atomic<std::int32_t> running_proc{-1};  ///< vproc id, -1 = idle
-  std::atomic<std::int32_t> queue_depth{0};  ///< ready fibers homed here
 
   void bump(std::uint64_t CarrierReport::*counter, std::uint64_t n = 1) {
     std::atomic_ref(counts.*counter).fetch_add(n, std::memory_order_relaxed);
@@ -195,7 +190,6 @@ struct SchedulerReport {
   std::vector<CarrierReport> per_carrier;
   PoolCounters pool;
   std::uint64_t wall_ns = 0;      ///< host wall time of the run
-  std::uint64_t samples = 0;      ///< sampler ticks (kSampled only)
 };
 
 /// Carrier- and cell-summed scheduler totals: the shape the bench
@@ -238,53 +232,6 @@ struct SchedulerTotals {
 
   void add(const SchedulerReport& report);
   void add(const SchedulerTotals& other) { support::add(*this, other); }
-};
-
-/// One sampler tick of one carrier.  `fibers_run` / `steal_successes`
-/// are cumulative counter values at the tick (consumers diff adjacent
-/// ticks for rates); the rest are instantaneous gauges.
-struct ProfSample {
-  std::uint64_t wall_ns = 0;  ///< ns since the run's wall epoch
-  std::int32_t carrier = 0;
-  std::int32_t running_proc = -1;
-  std::int32_t queue_depth = 0;
-  std::uint64_t fibers_run = 0;
-  std::uint64_t steal_successes = 0;
-};
-
-/// The sampled host timeline of one run: tick-major, carrier-minor
-/// (carriers*k samples for k ticks).
-struct ProfTimeline {
-  int carriers = 0;
-  std::uint64_t period_ns = 0;
-  std::vector<ProfSample> samples;
-};
-
-/// The low-frequency sampler thread (kSampled mode).  Takes one
-/// snapshot immediately on construction -- so even a sub-period run
-/// gets at least one tick per carrier -- then one every `period`.
-/// The destructor stops and joins.
-class ProfSampler {
- public:
-  ProfSampler(std::chrono::steady_clock::time_point epoch, int carriers,
-              std::chrono::nanoseconds period = std::chrono::milliseconds(1));
-  ~ProfSampler();
-
-  ProfSampler(const ProfSampler&) = delete;
-  ProfSampler& operator=(const ProfSampler&) = delete;
-
-  /// Stops the thread and hands over the collected timeline.
-  std::shared_ptr<const ProfTimeline> stop();
-
- private:
-  void sample_once(std::chrono::steady_clock::time_point now);
-
-  friend class SamplerWorker;
-
-  std::chrono::steady_clock::time_point epoch_;
-  std::chrono::nanoseconds period_;
-  std::shared_ptr<ProfTimeline> timeline_;
-  bool stopped_ = false;
 };
 
 }  // namespace skil::parix

@@ -38,18 +38,18 @@ void render_prof_report(const Value& metrics, std::ostream& out) {
   const Value* sched = metrics.find("scheduler");
   SKIL_REQUIRE(sched != nullptr,
                "skil-prof: metrics file has no 'scheduler' object -- "
-               "re-run the workload with SKIL_PROF=counters or "
-               "SKIL_PROF=sampled");
+               "re-run the workload with SKIL_PROF=counters");
   const Value* prof_name = sched->find("prof");
   const int carriers = static_cast<int>(sched->num("carriers", 0.0));
   const double wall_ns = sched->num("wall_ns", 0.0);
-  const std::uint64_t samples = u64(*sched, "samples");
+  const Value* settlement = metrics.find("settlement");
+  SKIL_REQUIRE(settlement != nullptr,
+               "skil-prof: metrics file has no 'settlement' object");
 
   line(out, "skil-prof -- host scheduler observatory");
-  line(out, "mode %s, %d carriers, run wall %.3f ms, %" PRIu64
-            " sampler ticks",
+  line(out, "mode %s, %d carriers, run wall %.3f ms",
        prof_name != nullptr ? prof_name->string.c_str() : "?", carriers,
-       wall_ns * 1e-6, samples);
+       wall_ns * 1e-6);
   out << '\n';
 
   // Per-carrier table, plus a summed totals row.
@@ -93,17 +93,10 @@ void render_prof_report(const Value& metrics, std::ostream& out) {
        pct(static_cast<double>(t_ok), static_cast<double>(t_att)), t_ok,
        t_att);
 
-  const std::uint64_t memo_hits = u64(*sched, "memo_hits");
-  const std::uint64_t memo_misses = u64(*sched, "memo_misses");
-  if (const Value* settlement = metrics.find("settlement")) {
-    line(out, "settlement coverage    %6.2f%% closed-form  (memo %" PRIu64
-              " hits / %" PRIu64 " misses)",
-         100.0 * settlement->num("closed_coverage", 0.0), memo_hits,
-         memo_misses);
-  } else {
-    line(out, "settlement memo        %" PRIu64 " hits / %" PRIu64 " misses",
-         memo_hits, memo_misses);
-  }
+  line(out, "settlement coverage    %6.2f%% closed-form  (memo %" PRIu64
+            " hits / %" PRIu64 " misses)",
+       100.0 * settlement->num("closed_coverage", 0.0),
+       u64(*settlement, "memo_hits"), u64(*settlement, "memo_misses"));
 
   if (const Value* pool = sched->find("pool")) {
     const std::uint64_t acquires = u64(*pool, "acquires");

@@ -149,12 +149,10 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     }
   }
 
-  // Host-timeline profiling (parix/prof.h): size the carrier registry
+  // Host scheduler counters (parix/prof.h): size the carrier registry
   // before the run so the scheduler's counter sites never index past
   // it, then activate the sites for the duration of the run (RAII --
-  // the failure rethrow below must not leave them hot).  In sampled
-  // mode the sampler thread shares the trace's wall epoch when one
-  // exists, so host lanes and virtual lanes line up in a merged view.
+  // the failure rethrow below must not leave them hot).
   const bool prof_on = config.prof != ProfMode::kOff;
   const bool prof_pooled = prof_on && engine == ExecutionEngine::kPooled;
   if (prof_pooled) executor_prof_prepare();
@@ -163,12 +161,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
       prof_on ? prof_snapshot() : std::vector<CarrierReport>{};
   const PoolCounters pool_before =
       prof_on ? prof_pool_counters() : PoolCounters{};
-  std::unique_ptr<ProfSampler> sampler;
-  if (config.prof == ProfMode::kSampled && prof_pooled) {
-    const auto prof_epoch =
-        trace ? trace->wall_epoch : std::chrono::steady_clock::now();
-    sampler = std::make_unique<ProfSampler>(prof_epoch, executor_carriers());
-  }
 
   std::exception_ptr first_failure;
   const SettleCounters settle_before = settle_counters();
@@ -208,7 +200,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
   result.gang.inline_adds = result.settle.inline_adds;
   result.fusion = support::sub(fusion_counters(), fusion_before);
   if (prof_on) {
-    if (sampler) result.prof = sampler->stop();
     SchedulerReport& sched = result.scheduler;
     sched.mode = config.prof;
     sched.wall_ns = static_cast<std::uint64_t>(
@@ -225,9 +216,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
       sched.per_carrier.push_back(support::sub(
           after[i], i < prof_before.size() ? prof_before[i] : CarrierReport{}));
     sched.pool = support::sub(prof_pool_counters(), pool_before);
-    sched.samples =
-        result.prof ? static_cast<std::uint64_t>(result.prof->samples.size())
-                    : 0;
   }
   return result;
 }

@@ -1,6 +1,10 @@
 #include "support/env.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <string>
+#include <thread>
 
 #include "support/error.h"
 
@@ -26,6 +30,14 @@ std::size_t parse_knob_choice(std::string_view var, std::string_view what,
   message += ")";
   SKIL_REQUIRE(false, message);
   return 0;  // unreachable
+}
+
+int host_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0)
+    return std::max(1, CPU_COUNT(&set));
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace skil::support

@@ -1,4 +1,5 @@
-// Strict parsing for the SKIL_* environment knobs.
+// Strict parsing for the SKIL_* environment knobs, and the host's
+// usable core count.
 //
 // Every runtime knob (SKIL_ENGINE, SKIL_CHARGE, SKIL_TRACE, SKIL_SETTLE,
 // SKIL_FUSE, SKIL_PROF) follows the same contract: a closed set of
@@ -44,5 +45,10 @@ std::optional<Enum> env_knob(const char* var, std::string_view what,
     return parse_knob<Enum>(var, what, value, accepted);
   return std::nullopt;
 }
+
+/// Cores the calling thread may run on: the size of its CPU affinity
+/// mask (what `nproc` reports under `taskset`), or
+/// hardware_concurrency where the mask cannot be read.  At least 1.
+int host_cores();
 
 }  // namespace skil::support

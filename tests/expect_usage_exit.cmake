@@ -1,18 +1,25 @@
-# Asserts that the tool at TOOL prints its usage text to stderr and
-# exits with status 2 on each of FLAGS (default: --help and an unknown
-# flag).
+# Asserts that the tool at TOOL exits with status STATUS (default 2)
+# and prints text matching the regex PATTERN (default "usage: ") to
+# stderr on each of FLAGS (default: --help and an unknown flag).
 #
-#   cmake -DTOOL=path/to/tool [-DFLAGS=--a=x;--b=y] -P expect_usage_exit.cmake
+#   cmake -DTOOL=path/to/tool [-DFLAGS=--a=x;--b=y] [-DSTATUS=1]
+#         [-DPATTERN=regex] -P expect_usage_exit.cmake
 if(NOT DEFINED FLAGS)
   set(FLAGS --help --no-such-flag)
+endif()
+if(NOT DEFINED STATUS)
+  set(STATUS 2)
+endif()
+if(NOT DEFINED PATTERN)
+  set(PATTERN "usage: ")
 endif()
 foreach(flag ${FLAGS})
   execute_process(COMMAND ${TOOL} ${flag}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "${TOOL} ${flag}: exit status ${rc}, expected 2")
+  if(NOT rc EQUAL STATUS)
+    message(FATAL_ERROR "${TOOL} ${flag}: exit status ${rc}, expected ${STATUS}")
   endif()
-  if(NOT err MATCHES "usage: ")
-    message(FATAL_ERROR "${TOOL} ${flag}: no usage text on stderr:\n${err}")
+  if(NOT err MATCHES "${PATTERN}")
+    message(FATAL_ERROR "${TOOL} ${flag}: stderr does not match '${PATTERN}':\n${err}")
   endif()
 endforeach()

@@ -9,8 +9,11 @@
 // has changed the scientific artefact, not just the host performance.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <array>
 #include <atomic>
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "parix/executor.h"
 #include "parix/runtime.h"
 #include "parix_golden_cases.h"
+#include "support/env.h"
 #include "support/error.h"
 
 namespace {
@@ -176,6 +180,27 @@ TEST(PooledEngine, RepeatedRunsReuseThePool) {
     const RunResult again = spmd_run(config, body);
     ASSERT_EQ(first.proc_vtimes, again.proc_vtimes);
   }
+}
+
+// The default carrier count follows the CPU affinity mask (what
+// taskset and nproc report), not the machine's hardware threads.
+TEST(PooledEngine, DefaultCarriersFollowTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  EXPECT_EQ(support::host_cores(), 1);
+  if (std::getenv("SKIL_CARRIERS") == nullptr) {
+    executor_set_carriers(0);  // drop the pool: the count resolves anew
+    EXPECT_EQ(executor_carriers(), 1);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(support::host_cores(), CPU_COUNT(&saved));
+  executor_set_carriers(0);  // respawn under the restored mask
 }
 
 // --- scheduler churn and failure stress ----------------------------------
