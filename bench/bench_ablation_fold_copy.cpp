@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   using namespace skil::bench;
   const support::Cli cli(argc, argv, {"elems", "csv", "out-dir",
                                       "metrics-out", "trace-out"});
+  parix::require_env_knobs(cli.program());
   const int elems = cli.get_int("elems", 100000);
 
   banner("A3 -- tree fold vs linear fold; memcpy copy vs map copy");

@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   using namespace skil::bench;
   const support::Cli cli(argc, argv, {"elems", "csv", "out-dir",
                                       "metrics-out", "trace-out"});
+  parix::require_env_knobs(cli.program());
   const int elems = cli.get_int("elems", 200000);
   const int p = 4;
 

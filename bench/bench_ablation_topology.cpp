@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
 
   const support::Cli cli(argc, argv, {"n", "p", "csv", "coll-csv", "out-dir",
                                       "metrics-out", "trace-out"});
+  parix::require_env_knobs(cli.program());
   const int n = cli.get_int("n", 120);
   const int p = cli.get_int("p", 16);
   const std::uint64_t seed = 555;

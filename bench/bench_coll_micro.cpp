@@ -102,6 +102,7 @@ int main(int argc, char** argv) {
 
   const support::Cli cli(argc, argv, {"elems", "csv", "out-dir",
                                       "metrics-out", "trace-out"});
+  parix::require_env_knobs(cli.program());
   const int elems = cli.get_int("elems", 65536);
 
   banner("collective zoo -- vtime per (op, algorithm, p); payload " +

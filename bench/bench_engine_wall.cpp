@@ -139,6 +139,7 @@ int main(int argc, char** argv) {
                           "baseline-note", "reps", "jobs", "carriers",
                           "charge", "settle", "fuse", "prof", "coll",
                           "engine", "trace-out"});
+  parix::require_env_knobs(cli.program());
   const bool quick = cli.get_bool("quick");
   const double baseline_s = cli.get_double("baseline", 0.0);
   const std::string baseline_note = cli.get("baseline-note", "unspecified");

@@ -27,6 +27,9 @@ int main(int argc, char** argv) {
   using namespace skil::bench;
 
   const support::Cli cli(argc, argv, {"quick", "csv", "out-dir"});
+  parix::require_env_knobs(cli.program());
+  // Resolved before the sweep, so an unwritable --csv costs no run.
+  const std::string csv_path = out_path(cli, "csv", "bench_figure1_gauss.csv");
   const bool quick = cli.get_bool("quick");
   const std::uint64_t seed = 19960528;
 
@@ -62,7 +65,7 @@ int main(int argc, char** argv) {
   for (int p : ps) header.push_back(std::to_string(p));
   support::Table left(header);
   support::Table right(header);
-  support::CsvWriter csv(out_path(cli, "csv", "bench_figure1_gauss.csv"),
+  support::CsvWriter csv(csv_path,
                          {"n", "p", "speedup_vs_dpfl", "slowdown_vs_c"});
   for (std::size_t i = 0; i < ns.size(); ++i) {
     std::vector<std::string> lrow{std::to_string(ns[i])};

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   using namespace skil::bench;
 
   const support::Cli cli(argc, argv, {"quick", "csv", "out-dir"});
+  parix::require_env_knobs(cli.program());
   const bool quick = cli.get_bool("quick");
   const std::uint64_t seed = 31337;
 

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
 
   const support::Cli cli(argc, argv, {"cells", "steps", "csv", "out-dir",
                                       "metrics-out", "trace-out"});
+  parix::require_env_knobs(cli.program());
   const int cells = cli.get_int("cells", 1024);
   const int steps = cli.get_int("steps", 50);
 

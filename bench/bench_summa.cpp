@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
 
   const support::Cli cli(argc, argv, {"n", "csv", "out-dir",
                                       "metrics-out", "trace-out"});
+  parix::require_env_knobs(cli.program());
   // Panels must be a few KB before the chunk-pipelined ring beats the
   // binomial tree; n = 256 gives 8 KB panels on the 8x8 grid.
   const int n = cli.get_int("n", 256);

@@ -50,6 +50,7 @@ const std::vector<PaperRow> kPaper = {
 int main(int argc, char** argv) {
   const support::Cli cli(argc, argv, {"n", "quick", "csv", "out-dir",
                                       "metrics-out", "trace-out"});
+  parix::require_env_knobs(cli.program());
   const int n = cli.get_int("n", cli.get_bool("quick") ? 60 : 200);
   const std::uint64_t seed = 20260704;
 

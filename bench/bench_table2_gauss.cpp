@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
   using namespace skil::bench;
 
   const support::Cli cli(argc, argv, {"quick", "csv", "out-dir", "jobs"});
+  parix::require_env_knobs(cli.program());
+  // Resolved before the sweep, so an unwritable --csv costs no run.
+  const std::string csv_path = out_path(cli, "csv", "bench_table2_gauss.csv");
   const bool quick = cli.get_bool("quick");
   const int jobs = std::max(1, cli.get_int("jobs", 1));
   const std::uint64_t seed = 19960528;
@@ -39,7 +42,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> header{"p \\ n"};
   for (int n : ns) header.push_back(std::to_string(n));
   support::Table table(header);
-  support::CsvWriter csv(out_path(cli, "csv", "bench_table2_gauss.csv"),
+  support::CsvWriter csv(csv_path,
                          {"p", "n", "skil_s", "dpfl_s", "c_s",
                           "dpfl_over_skil", "skil_over_c", "paper_skil_s",
                           "paper_dpfl_over_skil", "paper_skil_over_c"});

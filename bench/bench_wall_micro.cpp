@@ -138,4 +138,11 @@ BENCHMARK(BM_PermuteRows)->Arg(64)->Arg(256);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  skil::parix::require_env_knobs(argv[0]);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

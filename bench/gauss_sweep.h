@@ -30,16 +30,13 @@ struct GaussCell {
   double c_s = 0.0;
   /// Host wall seconds this cell took (all three variants).
   double wall_s = 0.0;
-  /// Settlement counter deltas over this cell's three runs
-  /// (charge_tape.h).  Exact when the cell ran in its own forked
-  /// worker; in-process sequential sweeps accumulate them per cell from
-  /// the process-wide counters, which is equally exact there.
+  /// Settlement counters over this cell's three runs (charge_tape.h).
   parix::SettleCounters settle;
-  /// Skeleton fusion outcome deltas over this cell's three runs
+  /// Skeleton fusion outcomes over this cell's three runs
   /// (charge_tape.h): all zero under SKIL_FUSE=off.
   parix::FusionCounters fusion;
-  /// Host scheduler counter deltas over this cell's three runs
-  /// (prof.h): all zero under SKIL_PROF=off.
+  /// Host scheduler counters over this cell's three runs (prof.h): all
+  /// zero under SKIL_PROF=off.
   parix::SchedulerTotals sched;
   /// Collective-algorithm counters over this cell's three runs
   /// (coll.h): which algorithm family every collective resolved to.

@@ -9,12 +9,14 @@
 #include <cstdio>
 
 #include "apps/gauss.h"
+#include "parix/runtime.h"
 #include "support/cli.h"
 #include "support/matrix.h"
 
 int main(int argc, char** argv) {
   using namespace skil;
   const support::Cli cli(argc, argv, {"procs", "n", "seed"});
+  parix::require_env_knobs(cli.program());
   const int procs = cli.get_int("procs", 4);
   const int n = cli.get_int("n", 24);
   const std::uint64_t seed = cli.get_int("seed", 3);

@@ -24,6 +24,7 @@
 int main(int argc, char** argv) {
   using namespace skil;
   const support::Cli cli(argc, argv, {"procs", "cells", "steps"});
+  parix::require_env_knobs(cli.program());
   const int procs = cli.get_int("procs", 8);
   const int cells = cli.get_int("cells", 64);
   const int steps = cli.get_int("steps", 60);

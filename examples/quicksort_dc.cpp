@@ -21,6 +21,7 @@
 #include <functional>
 #include <vector>
 
+#include "parix/runtime.h"
 #include "skil/functional.h"
 #include "support/cli.h"
 #include "support/rng.h"
@@ -49,6 +50,7 @@ auto d_and_c(IsTrivial is_trivial, Solve solve, Split split, Join join,
 int main(int argc, char** argv) {
   using namespace skil;
   const support::Cli cli(argc, argv, {"elems", "seed"});
+  parix::require_env_knobs(cli.program());
   const int elems = cli.get_int("elems", 24);
   support::Rng rng(cli.get_int("seed", 5));
 

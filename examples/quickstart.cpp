@@ -32,6 +32,7 @@ int above_thresh(float thresh, float elem, Index /*ix*/) {
 
 int main(int argc, char** argv) {
   const support::Cli cli(argc, argv, {"procs", "elems"});
+  parix::require_env_knobs(cli.program());
   const int procs = cli.get_int("procs", 8);
   const int elems = cli.get_int("elems", 32);
 

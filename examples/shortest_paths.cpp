@@ -6,12 +6,14 @@
 #include <cstdio>
 
 #include "apps/shortest_paths.h"
+#include "parix/runtime.h"
 #include "support/cli.h"
 #include "support/matrix.h"
 
 int main(int argc, char** argv) {
   using namespace skil;
   const support::Cli cli(argc, argv, {"procs", "nodes", "seed"});
+  parix::require_env_knobs(cli.program());
   const int procs = cli.get_int("procs", 4);
   const int nodes = cli.get_int("nodes", 12);
   const std::uint64_t seed = cli.get_int("seed", 7);

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "parix/runtime.h"
 #include "skilc/compiler.h"
 #include "support/cli.h"
 #include "support/error.h"
@@ -50,6 +51,7 @@ void threshold_all (float t, array <float> A, array <int> B) {
 
 int main(int argc, char** argv) {
   const skil::support::Cli cli(argc, argv, {}, {"skeletonize"});
+  skil::parix::require_env_knobs(cli.program());
   skil::skilc::CompileOptions options;
   options.skeletonize = cli.get_bool("skeletonize");
   const char* path =

@@ -215,7 +215,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
     for (int k = 0; k < size; ++k) {
       const parix::TraceSpan step(proc, "gauss pivot round", k);
       if (fuse_on && !fusing)
-        parix::note_fusion_rejected(parix::FusionReject::kPath);
+        parix::note_fusion_rejected(proc, parix::FusionReject::kPath);
       bool step_fused = fusing;
       if (pivoting) {
         const ElemRec e =
@@ -228,7 +228,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
           // coincide, which the row swap breaks.  Reject (kShape)
           // and run the step through the ordinary two-array path.
           if (fusing)
-            parix::note_fusion_rejected(parix::FusionReject::kShape);
+            parix::note_fusion_rejected(proc, parix::FusionReject::kShape);
           step_fused = false;
           array_permute_rows(a, partial(switch_rows, e.row, k), b);
         } else if (!step_fused) {
@@ -296,7 +296,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
         proc.replay(elim_tape, active);
         parix::DeferredCharges deferred(proc);
         detail::array_map_charge_tail<double>(deferred, active);
-        parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+        parix::note_fusion_fused(proc, /*barriers=*/0, /*tapes=*/1);
       } else if (taped) {
         const Bounds bb = b.part_bounds();
         const int brow0 = bb.lower[0];
@@ -310,7 +310,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
       }
     }
     if (fuse_on && !fusing)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      parix::note_fusion_rejected(proc, parix::FusionReject::kPath);
     if (fusing) {
       // Fused normalize|gather: divide the right-hand-side column in
       // place (the diagonal read is never clobbered -- it sits left
@@ -329,7 +329,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
       proc.replay(norm_tape, active);
       parix::DeferredCharges deferred(proc);
       detail::array_map_charge_tail<double>(deferred, active);
-      parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+      parix::note_fusion_fused(proc, /*barriers=*/0, /*tapes=*/1);
     } else if (taped) {
       const Bounds ab = a.part_bounds();
       const int arow0 = ab.lower[0];
@@ -430,7 +430,7 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
     for (int k = 0; k < size; ++k) {
       const parix::TraceSpan step(proc, "gauss pivot round", k);
       if (fuse_on && !fusing)
-        parix::note_fusion_rejected(parix::FusionReject::kPath);
+        parix::note_fusion_rejected(proc, parix::FusionReject::kPath);
       // copy_pivot: normalised pivot-row elements into this
       // processor's piv row when it owns the pivot row.
       std::vector<double>* pmut =
@@ -452,7 +452,7 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
           proc.charge(dpfl::op_kind<double>(),
                       static_cast<std::uint64_t>(size + 1));
         }
-        parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+        parix::note_fusion_fused(proc, /*barriers=*/0, /*tapes=*/1);
       } else if (taped) {
         // The closure record the interp path allocates when it
         // constructs the copy_pivot Closure, charged at the same
@@ -509,11 +509,11 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         proc.replay(elim_tape, active);
         dpfl::charge_apply(proc, active);
         proc.charge(dpfl::op_kind<double>(), active);
-        parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+        parix::note_fusion_fused(proc, /*barriers=*/0, /*tapes=*/1);
         continue;
       }
       if (fusing)  // shared storage: cannot deforest in place
-        parix::note_fusion_rejected(parix::FusionReject::kShape);
+        parix::note_fusion_rejected(proc, parix::FusionReject::kShape);
       const FArray<double> source = a;
       const FArray<double> pivot_rows = piv;
       if (taped) {
@@ -539,7 +539,7 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
     }
 
     if (fuse_on && !fusing)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      parix::note_fusion_rejected(proc, parix::FusionReject::kPath);
     std::vector<double>* amut =
         fusing ? a.mutable_local_if_unique() : nullptr;
     if (amut != nullptr) {
@@ -560,10 +560,10 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
       proc.replay(norm_tape, active);
       dpfl::charge_apply(proc, active);
       proc.charge(dpfl::op_kind<double>(), active);
-      parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+      parix::note_fusion_fused(proc, /*barriers=*/0, /*tapes=*/1);
     } else if (taped) {
       if (fusing)
-        parix::note_fusion_rejected(parix::FusionReject::kShape);
+        parix::note_fusion_rejected(proc, parix::FusionReject::kShape);
       const FArray<double> final_a = a;
       proc.charge(parix::Op::kAlloc);  // normalize closure record
       const Bounds fb = final_a.part_bounds();

@@ -511,10 +511,11 @@ FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
   // pool recycles the vector nodes once the receiving side has
   // drained them, and keeps them warm across sweep cells.
   parix::BufferPool<T>& pool = parix::process_buffer_pool<T>();
+  parix::PoolCounters& pool_counts = proc.pool_counters();
   std::shared_ptr<const std::vector<T>> a_buf =
-      pool.share(rotate(a.local(), 0, -my_row));
+      pool.share(rotate(a.local(), 0, -my_row), pool_counts);
   std::shared_ptr<const std::vector<T>> b_buf =
-      pool.share(rotate(b.local(), -my_col, 0));
+      pool.share(rotate(b.local(), -my_col, 0), pool_counts);
 
   const int a_dst = topo.torus_neighbor(proc.id(), 0, -1);
   const int a_src = topo.torus_neighbor(proc.id(), 0, +1);
@@ -570,16 +571,17 @@ FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
     if (round == 0 || !proc.fusing())
       proc.charge(parix::Op::kAlloc, c_block.size());
     if (rotating) {
-      a_buf = pool.share(proc.recv<std::vector<T>>(a_src, tag));
-      b_buf = pool.share(proc.recv<std::vector<T>>(b_src, tag + 1));
+      a_buf = pool.share(proc.recv<std::vector<T>>(a_src, tag), pool_counts);
+      b_buf = pool.share(proc.recv<std::vector<T>>(b_src, tag + 1),
+                         pool_counts);
     }
   }
 
   if (proc.fusing())
-    parix::note_fusion_fused(/*barriers=*/0,
-                             /*tapes=*/static_cast<std::uint64_t>(q - 1));
+    parix::note_fusion_fused(
+        proc, /*barriers=*/0, /*tapes=*/static_cast<std::uint64_t>(q - 1));
   else if (proc.fuse_mode() == parix::FuseMode::kOn)
-    parix::note_fusion_rejected(parix::FusionReject::kPath);
+    parix::note_fusion_rejected(proc, parix::FusionReject::kPath);
 
   return FArray<T>(proc, a.dist_ptr(), std::move(c_block));
 }

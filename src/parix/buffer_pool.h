@@ -27,8 +27,9 @@ class BufferPool {
   using Buffer = std::vector<T>;
 
   /// Wraps `data` in a shared immutable buffer whose node recycles
-  /// through this pool.
-  std::shared_ptr<const Buffer> share(Buffer&& data) {
+  /// through this pool, booking the acquire into `counts` (the calling
+  /// processor's Proc::pool_counters).
+  std::shared_ptr<const Buffer> share(Buffer&& data, PoolCounters& counts) {
     std::unique_ptr<Buffer> node;
     {
       const std::scoped_lock lock(state_->mutex);
@@ -37,12 +38,13 @@ class BufferPool {
         state_->free_nodes.pop_back();
       }
     }
-    if (prof_counting()) [[unlikely]]
-      prof_note_pool_acquire(node != nullptr,
-                             data.size() * sizeof(T));
+    ++counts.acquires;
+    counts.bytes += data.size() * sizeof(T);
     if (node) {
+      ++counts.hits;
       *node = std::move(data);
     } else {
+      ++counts.misses;
       node = std::make_unique<Buffer>(std::move(data));
     }
     const std::shared_ptr<State> state = state_;

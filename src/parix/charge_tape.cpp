@@ -388,78 +388,10 @@ void advance_chain(double& acc, const double* a, std::uint32_t n,
   acc = x;
 }
 
-/// A counter struct's process-wide totals: one relaxed atomic per
-/// field-table entry.
-template <class S>
-class AtomicCounters {
- public:
-  void add(const S& delta) {
-    std::size_t i = 0;
-    support::for_each(delta, [&](std::string_view, std::uint64_t v) {
-      if (v != 0) slots_[i].fetch_add(v, std::memory_order_relaxed);
-      ++i;
-    });
-  }
-  template <std::uint64_t S::*Member>
-  void bump(std::uint64_t n = 1) {
-    constexpr std::size_t i = support::field_index(Member);
-    slots_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  S load() const {
-    S totals;
-    std::size_t i = 0;
-    support::for_each(totals, [&](std::string_view, std::uint64_t& v) {
-      v = slots_[i++].load(std::memory_order_relaxed);
-    });
-    return totals;
-  }
-
- private:
-  std::atomic<std::uint64_t> slots_[S::fields().size()] = {};
-};
-
-AtomicCounters<SettleCounters> g_settle;
-
-// Fusion counters need no thread-local staging: fused paths note at
-// most once per skeleton composition, not per element, so contention
-// is negligible.
-AtomicCounters<FusionCounters> g_fusion;
-
 }  // namespace
 
-SettleCounters settle_counters() { return g_settle.load(); }
-
-void note_inline_settle(std::uint64_t adds) {
-  g_settle.bump<&SettleCounters::inline_adds>(adds);
-}
-
-FusionCounters fusion_counters() { return g_fusion.load(); }
-
-void note_fusion_fused(std::uint64_t barriers, std::uint64_t tapes) {
-  g_fusion.bump<&FusionCounters::seen>();
-  g_fusion.bump<&FusionCounters::fused>();
-  if (barriers != 0)
-    g_fusion.bump<&FusionCounters::barriers_eliminated>(barriers);
-  if (tapes != 0) g_fusion.bump<&FusionCounters::tapes_eliminated>(tapes);
-}
-
-void note_fusion_rejected(FusionReject reason) {
-  g_fusion.bump<&FusionCounters::seen>();
-  switch (reason) {
-    case FusionReject::kShape:
-      g_fusion.bump<&FusionCounters::rejected_shape>();
-      break;
-    case FusionReject::kOrder:
-      g_fusion.bump<&FusionCounters::rejected_order>();
-      break;
-    case FusionReject::kPath:
-      g_fusion.bump<&FusionCounters::rejected_path>();
-      break;
-  }
-}
-
-void ChargeLedger::settle_algebraic(double& vtime, Stats& stats) {
-  SettleCounters local;
+void ChargeLedger::settle_algebraic(double& vtime, Stats& stats,
+                                    SettleCounters& counters) {
   double vt = vtime;
   double cu = stats.compute_us;
   for (const Record& rec : records_) {
@@ -473,18 +405,18 @@ void ChargeLedger::settle_algebraic(double& vtime, Stats& stats) {
           vt += a[i];
           cu += a[i];
         }
-      ++local.chain_records;
-      local.chain_adds += static_cast<std::uint64_t>(rec.n) * rec.times;
+      ++counters.chain_records;
+      counters.chain_adds += static_cast<std::uint64_t>(rec.n) * rec.times;
       continue;
     }
-    const std::uint64_t skipped = local.closed_adds + local.memo_adds;
-    advance_chain(vt, a, rec.n, rec.times, rec.tape_id, units_, &local);
+    const std::uint64_t skipped = counters.closed_adds + counters.memo_adds;
+    advance_chain(vt, a, rec.n, rec.times, rec.tape_id, units_, &counters);
     advance_chain(cu, a, rec.n, rec.times, rec.tape_id, units_, nullptr);
-    if (local.closed_adds + local.memo_adds > skipped) ++local.closed_runs;
+    if (counters.closed_adds + counters.memo_adds > skipped)
+      ++counters.closed_runs;
   }
   vtime = vt;
   stats.compute_us = cu;
-  g_settle.add(local);
   clear();
 }
 

@@ -44,6 +44,11 @@
 //              the probed deltas per (tape identity, unit table,
 //              binade), so the sweep's repeated replays settle as O(1)
 //              cached walks.
+//
+// Settlement and fusion counters belong to the processor that did the
+// work: each Proc books its own SettleCounters and FusionCounters, and
+// spmd_run sums them into RunResult.  The memo is a cache, not a
+// counter; it stays per carrier thread.
 #pragma once
 
 #include <array>
@@ -125,12 +130,14 @@ enum class FusionReject {
            ///< taped; SKIL_CHARGE=interp keeps the oracle unfused)
 };
 
-/// Cumulative fusion counters (process-wide), mirroring SettleCounters:
-/// how many fusible compositions the fused paths saw, how many actually
-/// fused, how many were rejected (by reason), and what the fused forms
-/// eliminated -- whole tape passes and collective barrier rounds.
-/// All zero under SKIL_FUSE=off (the off path never consults them), so
-/// a differential test can assert the fused path really engaged.
+/// One processor's fusion counters (Proc::fusion_counters, summed into
+/// RunResult::fusion), mirroring SettleCounters: how many fusible
+/// compositions the fused paths saw, how many actually fused, how many
+/// were rejected (by reason), and what the fused forms eliminated --
+/// whole tape passes and collective barrier rounds.  All zero under
+/// SKIL_FUSE=off (the off path never consults them), so a differential
+/// test can assert the fused path really engaged.  note_fusion_fused
+/// and note_fusion_rejected (proc.h) book them.
 struct FusionCounters {
   std::uint64_t seen = 0;
   std::uint64_t fused = 0;
@@ -158,13 +165,6 @@ struct FusionCounters {
     return rejected_shape + rejected_order + rejected_path;
   }
 };
-FusionCounters fusion_counters();
-
-/// Notes one composition that fused, eliminating `barriers` collective
-/// rounds and `tapes` whole tape/charge passes.  Increments seen too.
-void note_fusion_fused(std::uint64_t barriers = 0, std::uint64_t tapes = 1);
-/// Notes one composition that was recognised but ran unfused.
-void note_fusion_rejected(FusionReject reason);
 
 /// One element's recorded charge sequence: op kinds and counts in the
 /// exact order the interpretive path would charge them.
@@ -244,18 +244,14 @@ class ChargeTape {
   std::uint64_t id_;
 };
 
-/// Bumps the chain-mode add counter (relaxed; called by
-/// ChargeLedger::settle, defined out of line to keep the atomic out of
-/// the header).
-void note_inline_settle(std::uint64_t adds);
-
-/// Cumulative settlement counters (process-wide, relaxed atomics
-/// underneath).  `closed_adds` / `memo_adds` are chain adds the
-/// algebraic walk *skipped* (retired in closed form, the delta freshly
-/// probed this settle vs served from the cross-replay memo);
-/// `probe_adds` are real adds spent measuring period deltas;
-/// `chain_adds` are real adds on records the algebraic engine
-/// declined (chain-only flags, tiny repetition counts, binade-
+/// Settlement counters.  Each processor books its own
+/// (Proc::settle_counters, passed to the ChargeLedger settle calls),
+/// and spmd_run sums them into RunResult::settle.  `closed_adds` /
+/// `memo_adds` are chain adds the algebraic walk *skipped* (retired in
+/// closed form, the delta freshly probed this settle vs served from
+/// the cross-replay memo); `probe_adds` are real adds spent measuring
+/// period deltas; `chain_adds` are real adds on records the algebraic
+/// engine declined (chain-only flags, tiny repetition counts, binade-
 /// boundary periods); `inline_adds` are the adds SKIL_SETTLE=chain
 /// executed.  Together they account for every pending chain add,
 /// which is how the bench proves its closed-form coverage claim.
@@ -304,7 +300,6 @@ struct SettleCounters {
                      : 0.0;
   }
 };
-SettleCounters settle_counters();
 
 /// Deferred charge ledger: the queue of replay and bulk-charge records
 /// a processor has accumulated but not yet folded into its clock.
@@ -408,8 +403,9 @@ class ChargeLedger {
   /// order.  Arithmetic-identical to having executed the deferred
   /// replays/charges eagerly: same addends, same dependent-chain
   /// order, with the per-op integer counters booked batched and exact.
-  void settle(double& vtime, Stats& stats) {
-    note_inline_settle(pending_adds_);
+  /// Every add is booked as one of `counters.inline_adds`.
+  void settle(double& vtime, Stats& stats, SettleCounters& counters) {
+    counters.inline_adds += pending_adds_;
     double vt = vtime;
     double cu = stats.compute_us;
     for (const Record& rec : records_) {
@@ -431,8 +427,9 @@ class ChargeLedger {
   /// Settles every pending record algebraically: walkable records
   /// retire via the closed-form ulp walk (bit-identical to settle()
   /// by the parity argument of DESIGN.md section 12), chain-only and
-  /// tiny records via the plain chain.  Defined in charge_tape.cpp.
-  void settle_algebraic(double& vtime, Stats& stats);
+  /// tiny records via the plain chain, booking how each add retired
+  /// into `counters`.  Defined in charge_tape.cpp.
+  void settle_algebraic(double& vtime, Stats& stats, SettleCounters& counters);
 
   void clear() {
     entries_.clear();

@@ -237,6 +237,14 @@ struct alignas(64) RunQueue {
   }
 };
 
+/// One admitted carrier's scheduler state: its run queue and its
+/// SKIL_PROF counter lane (prof.h), which counts only while a profiled
+/// run has the pool.
+struct CarrierSlot {
+  RunQueue queue;
+  CarrierCounters lane;
+};
+
 thread_local Fiber* tl_fiber = nullptr;
 thread_local Context* tl_worker_context = nullptr;
 #if SKIL_ASAN_FIBERS
@@ -334,7 +342,8 @@ class Scheduler {
 
   std::exception_ptr run(Machine& machine,
                          const std::vector<std::unique_ptr<Proc>>& procs,
-                         const detail::BodyRef& body);
+                         const detail::BodyRef& body,
+                         std::vector<CarrierReport>* lanes);
 
   /// Parks the calling fiber until wake(); returns immediately when a
   /// wake already raced ahead.
@@ -357,11 +366,6 @@ class Scheduler {
   /// respawns it at the new width.  Must not be called from inside a
   /// run.
   void set_carriers(int n);
-
-  /// Spawns the pool (if needed) and sizes the profiling registry to
-  /// cover every carrier, so the hot-path counter sites never index
-  /// past the registry during a profiled run.
-  void prof_prepare();
 
  private:
   Scheduler() = default;
@@ -391,10 +395,16 @@ class Scheduler {
   static constexpr std::uint64_t kLive = std::uint64_t{1} << 32;
   static constexpr std::uint64_t kActiveMask = kLive - 1;
 
-  /// One run queue per admitted carrier (fiber->home indexes it); idle
-  /// carriers steal from the others.
-  std::unique_ptr<RunQueue[]> queues_;
-  int nqueues_ = 0;
+  /// One slot per admitted carrier (fiber->home indexes it); idle
+  /// carriers steal from the others' queues.  The lanes live exactly
+  /// as long as the pool: stop_workers and ~Scheduler join every
+  /// carrier before the slots go, so no carrier write outlives them,
+  /// at process exit included.
+  std::unique_ptr<CarrierSlot[]> slots_;
+  int nslots_ = 0;
+  /// Raised by run() for a profiled run: the one gate of every counter
+  /// site.
+  std::atomic<bool> profiling_{false};
   /// Carriers asleep in work_cv_; enqueue() takes mutex_ to signal
   /// only when this is non-zero.
   std::atomic<int> sleepers_{0};
@@ -460,15 +470,10 @@ int Scheduler::carriers() {
 
 void Scheduler::spawn_workers_locked() {
   const int n = resolve_carriers_locked();
-  // Keep an existing profiling registry wide enough for the new pool
-  // (prof_prepare creates it in the first place): an active registry
-  // must always cover every live carrier index.
-  if (prof_detail::g_registry.load(std::memory_order_relaxed) != nullptr)
-    prof_ensure_registry(n);
   const int admitted = std::min(n, support::host_cores());
   carriers_ = n;
-  nqueues_ = admitted;
-  queues_ = std::make_unique<RunQueue[]>(static_cast<std::size_t>(admitted));
+  nslots_ = admitted;
+  slots_ = std::make_unique<CarrierSlot[]>(static_cast<std::size_t>(admitted));
   workers_.reserve(static_cast<std::size_t>(admitted));
   for (int i = 0; i < admitted; ++i)
     workers_.emplace_back([this, i] { worker_main(i); });
@@ -482,8 +487,8 @@ void Scheduler::stop_workers(std::unique_lock<std::mutex>& lock) {
   for (auto& worker : workers_) worker.join();
   lock.lock();
   workers_.clear();
-  queues_.reset();
-  nqueues_ = 0;
+  slots_.reset();
+  nslots_ = 0;
   carriers_ = 0;
   shutdown_ = false;
 }
@@ -498,15 +503,8 @@ void Scheduler::set_carriers(int n) {
   stop_workers(lock);
 }
 
-void Scheduler::prof_prepare() {
-  const std::scoped_lock serial(run_serial_);
-  const std::scoped_lock lock(mutex_);
-  if (workers_.empty()) spawn_workers_locked();
-  prof_ensure_registry(carriers_);
-}
-
 void Scheduler::enqueue(Fiber* fiber) {
-  queues_[fiber->home.load(std::memory_order_relaxed)].push(fiber);
+  slots_[fiber->home.load(std::memory_order_relaxed)].queue.push(fiber);
   // Pairs with the fence in sleep_until_work: either this load sees
   // the sleeper, or the sleeper's re-check sees the size above.
   std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -517,22 +515,22 @@ void Scheduler::enqueue(Fiber* fiber) {
 }
 
 Fiber* Scheduler::pop_ready(int index) {
-  ProfRegistry* const prof = prof_registry();
-  const bool counted = prof != nullptr && index < prof->n;
+  const bool counted = profiling_.load(std::memory_order_relaxed);
+  CarrierCounters& lane = slots_[index].lane;
   // Own queue first (affinity), then steal round-robin from the rest.
-  for (int i = 0; i < nqueues_; ++i) {
-    RunQueue& queue = queues_[(index + i) % nqueues_];
+  for (int i = 0; i < nslots_; ++i) {
+    RunQueue& queue = slots_[(index + i) % nslots_].queue;
     if (counted && i > 0) [[unlikely]]
-      prof->carriers[index].bump(&CarrierReport::steal_attempts);
+      lane.bump(&CarrierReport::steal_attempts);
     Fiber* const fiber =
         queue.size.load(std::memory_order_relaxed) > 0 ? queue.pop() : nullptr;
     if (fiber == nullptr) continue;
     if (counted && i > 0) [[unlikely]]
-      prof->carriers[index].bump(&CarrierReport::steal_successes);
+      lane.bump(&CarrierReport::steal_successes);
     return fiber;
   }
   if (counted) [[unlikely]]
-    prof->carriers[index].bump(&CarrierReport::steal_failed_rounds);
+    lane.bump(&CarrierReport::steal_failed_rounds);
   return nullptr;
 }
 
@@ -542,8 +540,9 @@ bool Scheduler::sleep_until_work() {
   // Pairs with the fence in enqueue (see there).
   std::atomic_thread_fence(std::memory_order_seq_cst);
   work_cv_.wait(lock, [&] {
-    for (int i = 0; i < nqueues_; ++i)
-      if (queues_[i].size.load(std::memory_order_relaxed) > 0) return true;
+    for (int i = 0; i < nslots_; ++i)
+      if (slots_[i].queue.size.load(std::memory_order_relaxed) > 0)
+        return true;
     return shutdown_;
   });
   sleepers_.fetch_sub(1, std::memory_order_relaxed);
@@ -602,12 +601,12 @@ void Scheduler::dispatch(int index, Fiber* fiber, Context& worker_context) {
   fiber->ran_before = true;
   RunState* const run = fiber->run;
 
-  ProfRegistry* const prof = prof_registry();
+  const bool counted = profiling_.load(std::memory_order_relaxed);
+  CarrierCounters& lane = slots_[index].lane;
   std::chrono::steady_clock::time_point prof_t0;
-  if (prof != nullptr && index < prof->n) [[unlikely]] {
-    CarrierCounters& pc = prof->carriers[index];
-    pc.bump(&CarrierReport::fibers_run);
-    if (resumed) pc.bump(&CarrierReport::fibers_resumed);
+  if (counted) [[unlikely]] {
+    lane.bump(&CarrierReport::fibers_run);
+    if (resumed) lane.bump(&CarrierReport::fibers_resumed);
     prof_t0 = std::chrono::steady_clock::now();
   }
 
@@ -618,8 +617,8 @@ void Scheduler::dispatch(int index, Fiber* fiber, Context& worker_context) {
   sanitizer_finish_switch(fake_stack);
   tl_fiber = nullptr;
 
-  if (prof != nullptr && index < prof->n) [[unlikely]]
-    prof->carriers[index].bump(
+  if (counted) [[unlikely]]
+    lane.bump(
         &CarrierReport::run_ns,
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -689,11 +688,11 @@ void Scheduler::wake(Fiber* fiber) {
   const int home = fiber->home.load(std::memory_order_relaxed);
   // The park is booked with its unpark, on the parking carrier's lane:
   // each park of a run ends in one unpark before the run finishes, so
-  // a run's delta stays exact even if that carrier stalls after its CAS.
-  if (ProfRegistry* const prof = prof_registry();
-      prof != nullptr && home < prof->n) [[unlikely]] {
-    prof->carriers[home].bump(&CarrierReport::parks);
-    prof->carriers[home].bump(&CarrierReport::unparks);
+  // a run's count stays exact even if that carrier stalls after its CAS.
+  if (profiling_.load(std::memory_order_relaxed)) [[unlikely]] {
+    CarrierCounters& lane = slots_[home].lane;
+    lane.bump(&CarrierReport::parks);
+    lane.bump(&CarrierReport::unparks);
   }
   enqueue(fiber);
 }
@@ -711,7 +710,7 @@ void Scheduler::finish_current() {
 
 std::exception_ptr Scheduler::run(
     Machine& machine, const std::vector<std::unique_ptr<Proc>>& procs,
-    const detail::BodyRef& body) {
+    const detail::BodyRef& body, std::vector<CarrierReport>* lanes) {
   const std::scoped_lock serial(run_serial_);
   RunState run;
   run.machine = &machine;
@@ -742,12 +741,18 @@ std::exception_ptr Scheduler::run(
       fiber->proc = proc.get();
       fiber->state.store(FiberState::kReady, std::memory_order_relaxed);
       fiber->ran_before = false;
-      fiber->home.store(proc->id() % nqueues_, std::memory_order_relaxed);
+      fiber->home.store(proc->id() % nslots_, std::memory_order_relaxed);
       fiber->asan_fake_stack = nullptr;
       context_init(fiber->context, fiber->stack.get(), kFiberStackBytes,
                    fiber_trampoline);
       fibers.push_back(fiber);
     }
+  }
+  if (lanes != nullptr) {
+    // The pool is ours until we return (run_serial_), so its lanes
+    // count this run alone.
+    for (int i = 0; i < nslots_; ++i) slots_[i].lane.reset();
+    profiling_.store(true, std::memory_order_relaxed);
   }
   const auto n = static_cast<std::uint64_t>(fibers.size());
   census_.store(n * kLive + n, std::memory_order_relaxed);
@@ -771,6 +776,13 @@ std::exception_ptr Scheduler::run(
       done_lock.lock();
       run.done_cv.wait(done_lock, [&] { return finished || run.done; });
     }
+  }
+  if (lanes != nullptr) {
+    profiling_.store(false, std::memory_order_relaxed);
+    // One report per configured carrier; the lanes past the admitted
+    // carriers (SKIL_CARRIERS above the host's cores) stay zero.
+    lanes->assign(static_cast<std::size_t>(carriers_), CarrierReport{});
+    for (int i = 0; i < nslots_; ++i) (*lanes)[i] = slots_[i].lane.load();
   }
   const std::scoped_lock lock(run.failure_mutex);
   return run.first_failure;
@@ -799,12 +811,11 @@ int executor_carriers() { return Scheduler::instance().carriers(); }
 
 void executor_set_carriers(int n) { Scheduler::instance().set_carriers(n); }
 
-void executor_prof_prepare() { Scheduler::instance().prof_prepare(); }
-
 std::exception_ptr executor_run(Machine& machine,
                                 const std::vector<std::unique_ptr<Proc>>& procs,
-                                const detail::BodyRef& body) {
-  return Scheduler::instance().run(machine, procs, body);
+                                const detail::BodyRef& body,
+                                std::vector<CarrierReport>* lanes) {
+  return Scheduler::instance().run(machine, procs, body, lanes);
 }
 
 Message executor_fiber_get(Mailbox& box, int src, long tag) {

@@ -60,18 +60,16 @@ int executor_carriers();
 /// not be called from inside a run.
 void executor_set_carriers(int n);
 
-/// Spawns the carrier pool if needed and sizes the SKIL_PROF counter
-/// registry (prof.h) to cover every carrier.  The runtime calls this
-/// before a profiled pooled run so the instrumentation sites never
-/// index past the registry.
-void executor_prof_prepare();
-
 /// Runs `body` on every processor using the persistent pool; blocks
 /// until all fibers finish.  Returns the first failure (or nullptr).
-/// Concurrent calls from different host threads serialise.
+/// Concurrent calls from different host threads serialise.  A non-null
+/// `lanes` profiles the run (SKIL_PROF, prof.h): the scheduler counts
+/// on its carrier lanes for this run only and hands them back, one
+/// CarrierReport per carrier (executor_carriers()).
 std::exception_ptr executor_run(Machine& machine,
                                 const std::vector<std::unique_ptr<Proc>>& procs,
-                                const detail::BodyRef& body);
+                                const detail::BodyRef& body,
+                                std::vector<CarrierReport>* lanes = nullptr);
 
 /// Fiber-parking receive: takes a matching message from `box` or
 /// parks the current fiber until the matching put() (or poison) wakes

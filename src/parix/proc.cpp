@@ -24,13 +24,32 @@ void Proc::settle_pending() {
   const std::uint64_t pending = ledger_.pending_adds();
   switch (settle_mode_) {
     case SettleMode::kChain:
-      ledger_.settle(vtime_, stats_);
+      ledger_.settle(vtime_, stats_, settle_counters_);
       trace_settle(trace_, vtime_, "settle chain", pending);
       return;
     case SettleMode::kClosed:
-      ledger_.settle_algebraic(vtime_, stats_);
+      ledger_.settle_algebraic(vtime_, stats_, settle_counters_);
       trace_settle(trace_, vtime_, "settle closed", pending);
       return;
+  }
+}
+
+void note_fusion_fused(Proc& proc, std::uint64_t barriers,
+                       std::uint64_t tapes) {
+  FusionCounters& c = proc.fusion_counters();
+  ++c.seen;
+  ++c.fused;
+  c.barriers_eliminated += barriers;
+  c.tapes_eliminated += tapes;
+}
+
+void note_fusion_rejected(Proc& proc, FusionReject reason) {
+  FusionCounters& c = proc.fusion_counters();
+  ++c.seen;
+  switch (reason) {
+    case FusionReject::kShape: ++c.rejected_shape; break;
+    case FusionReject::kOrder: ++c.rejected_order; break;
+    case FusionReject::kPath: ++c.rejected_path; break;
   }
 }
 

@@ -19,6 +19,7 @@
 #include "parix/charge_tape.h"
 #include "parix/coll.h"
 #include "parix/machine.h"
+#include "parix/prof.h"
 #include "parix/trace.h"
 #include "support/error.h"
 
@@ -331,21 +332,12 @@ class Proc {
   void set_trace(ProcTrace* trace) { trace_ = trace; }
   ProcTrace* trace() { return trace_; }
 
-  /// Selects how settle_pending retires the deferred chain (plain
-  /// chain or algebraic closed form -- charge_tape.h).  Set by
-  /// spmd_run from RunConfig::settle before the body starts; both
-  /// modes settle the identical add chain, so vtimes are bit-identical
-  /// across them (asserted in tests/test_parix_charge_tape.cpp).
-  void set_settle_mode(SettleMode mode) { settle_mode_ = mode; }
-  SettleMode settle_mode() const { return settle_mode_; }
-
-  /// Selects whether skeleton compositions may run fused
-  /// (charge_tape.h FuseMode; DESIGN.md section 13).  Set by spmd_run
-  /// from RunConfig::fuse before the body starts.  kOff executes every
-  /// composition exactly as PR 6 did (vtimes bit-identical to the seed
-  /// goldens); kOn lets the apps/combinators take the one-pass fused
-  /// taped variants (same array results, lower vtimes).
-  void set_fuse_mode(FuseMode mode) { fuse_mode_ = mode; }
+  /// Whether skeleton compositions may run fused (charge_tape.h
+  /// FuseMode; DESIGN.md section 13), fixed at construction from
+  /// default_fuse_mode().  kOff executes every composition exactly as
+  /// PR 6 did (vtimes bit-identical to the seed goldens); kOn lets the
+  /// apps/combinators take the one-pass fused taped variants (same
+  /// array results, lower vtimes).
   FuseMode fuse_mode() const { return fuse_mode_; }
 
   /// Selects which collective-algorithm family this processor's
@@ -360,6 +352,14 @@ class Proc {
   /// diagnostics only; summed into RunResult::coll after the run.
   CollectiveCounters& coll_counters() { return coll_counters_; }
   const CollectiveCounters& coll_counters() const { return coll_counters_; }
+
+  /// This processor's settlement, fusion and buffer-pool counters
+  /// (charge_tape.h, prof.h).  Like the collective counters they are
+  /// plain members booked by this processor alone and summed into
+  /// RunResult after the run; the cost model never reads them.
+  const SettleCounters& settle_counters() const { return settle_counters_; }
+  FusionCounters& fusion_counters() { return fusion_counters_; }
+  PoolCounters& pool_counters() { return pool_counters_; }
 
   /// Memo of this processor's SKIL_COLL=auto picks (parix/coll.h).
   CollPickMemo& coll_memo() { return coll_memo_; }
@@ -429,21 +429,36 @@ class Proc {
   Stats stats_;
   /// Deferred replays/charges pending settlement (charge_tape.h).
   ChargeLedger ledger_;
-  /// Settlement strategy for settle_pending (charge_tape.h).
+  /// Settlement strategy for settle_pending (charge_tape.h), fixed
+  /// at construction.  Both modes settle the identical add chain, so
+  /// vtimes are bit-identical across them (asserted in
+  /// tests/test_parix_charge_tape.cpp).
   SettleMode settle_mode_ = default_settle_mode();
   /// Skeleton-composition fusion switch (charge_tape.h).
   FuseMode fuse_mode_ = default_fuse_mode();
   /// Collective-algorithm family switch (parix/coll.h).
   CollMode coll_mode_ = default_coll_mode();
   /// Collective statistics (parix/coll.h); never read by the cost
-  /// model, so recording them cannot perturb virtual time.
+  /// model, so recording them cannot perturb virtual time.  The
+  /// settlement, fusion and pool counters below follow the same rule.
   CollectiveCounters coll_counters_;
+  SettleCounters settle_counters_;
+  FusionCounters fusion_counters_;
+  PoolCounters pool_counters_;
   /// kAuto collective picks, memoized (parix/coll.h).
   CollPickMemo coll_memo_;
   /// Per-proc trace recorder; nullptr (the default) keeps every trace
   /// hook down to one untaken branch so vtimes stay bit-identical.
   ProcTrace* trace_ = nullptr;
 };
+
+/// Notes one composition that fused on `proc`, eliminating `barriers`
+/// collective rounds and `tapes` whole tape/charge passes.  Increments
+/// seen too.
+void note_fusion_fused(Proc& proc, std::uint64_t barriers,
+                       std::uint64_t tapes);
+/// Notes one composition that `proc` recognised but ran unfused.
+void note_fusion_rejected(Proc& proc, FusionReject reason);
 
 /// Charge sink that defers into the processor's ledger instead of
 /// settling.  Same interface as Proc and ChargeTape, so the shared

@@ -7,25 +7,24 @@
 // wall time it spent inside them, and how the BufferPool arena
 // behaved.  The counters are exact; there is no wall-clock sampler (a
 // 1 kHz tick cannot attribute time inside a fiber, DESIGN.md section
-// 14).  Two hard rules, inherited
-// from the trace layer's off-mode discipline:
+// 14).  Two hard rules, inherited from the trace layer's off-mode
+// discipline:
 //
-//  1. Off mode costs one untaken branch per hot-path site and performs
-//     no allocation.  Every site is gated on a single relaxed atomic
-//     load (`prof_registry()` returning nullptr, or `prof_counting()`
-//     being false).
+//  1. Off mode costs one untaken branch per scheduler site and
+//     performs no allocation: every site is gated on the scheduler's
+//     one profiling flag, which executor_run raises only for a
+//     profiled run.
 //
 //  2. Profiling reads the host clock and host counters only.  Nothing
 //     here ever feeds back into virtual time: the golden vtimes are
 //     bit-identical in every mode, and the tests pin that.
 //
-// Counters live in a per-carrier, cache-line-padded registry so two
-// carriers never contend on a line.  The registry is process-global
-// and append-only: when the carrier count grows, a larger array is
-// published and the old one is retired into a keep-alive list instead
-// of being freed, so a racing reader can never touch freed memory.
-// Registries are tiny (a few KiB) and resizes are rare (explicit
-// executor_set_carriers calls), so the retained memory is noise.
+// Every counter belongs to the run that did the work.  A carrier's
+// lane (CarrierCounters) sits in the scheduler's per-carrier state next
+// to its run queue, cache-line padded so two carriers never contend;
+// executor_run zeroes the lanes when a profiled run starts and copies
+// them out when it ends (runs serialise there).  Pool counters are
+// booked on the Proc that shared the buffer and summed by spmd_run.
 #pragma once
 
 #include <array>
@@ -48,9 +47,7 @@ std::string_view prof_mode_name(ProfMode mode);
 ProfMode default_prof_mode();
 void set_default_prof_mode(ProfMode mode);
 
-/// One carrier's scheduler counters: a live lane's cumulative totals
-/// (CarrierCounters::counts) or its activity during one run (the
-/// delta of two snapshots).
+/// One carrier's scheduler counters over one profiled run.
 struct CarrierReport {
   std::uint64_t fibers_run = 0;       ///< dispatches (first or resumed)
   std::uint64_t fibers_resumed = 0;   ///< dispatches of a fiber that ran before
@@ -79,82 +76,32 @@ struct CarrierReport {
 /// One carrier thread's live lane, padded to its own cache line so two
 /// carriers rarely contend.  Most counters are written by the owning
 /// carrier; a waker on another carrier books `parks` and `unparks` on
-/// the lane of the carrier that parked the fiber.  Every write is a
-/// relaxed atomic RMW, and the aggregator reads without
-/// synchronization through relaxed atomic refs: every counter is
-/// monotone, so a torn read across fields is harmless and a per-field
-/// relaxed read is exact.
+/// the lane of the carrier that parked the fiber.  Every access is a
+/// relaxed atomic one: an idle carrier may still probe the queues
+/// while the run's owner resets or reads the lane.
 struct alignas(64) CarrierCounters {
-  CarrierReport counts;  ///< touched only through bump() and read()
+  CarrierReport counts;  ///< touched only through the members below
 
   void bump(std::uint64_t CarrierReport::*counter, std::uint64_t n = 1) {
     std::atomic_ref(counts.*counter).fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t read(std::uint64_t CarrierReport::*counter) {
-    return std::atomic_ref(counts.*counter).load(std::memory_order_relaxed);
   }
   /// Every counter, one relaxed read each.
   CarrierReport load() {
     CarrierReport report;
     for (const auto& f : CarrierReport::fields())
-      report.*f.member = read(f.member);
+      report.*f.member =
+          std::atomic_ref(counts.*f.member).load(std::memory_order_relaxed);
     return report;
   }
-};
-
-struct ProfRegistry {
-  CarrierCounters* carriers = nullptr;
-  int n = 0;
-};
-
-namespace prof_detail {
-extern std::atomic<ProfRegistry*> g_registry;
-extern std::atomic<int> g_active_runs;
-}  // namespace prof_detail
-
-/// The hot-path gate: nullptr whenever no profiled run is active, so
-/// every instrumentation site is `if (prof) [[unlikely]] ...`.
-inline ProfRegistry* prof_registry() {
-  if (prof_detail::g_active_runs.load(std::memory_order_relaxed) == 0)
-    return nullptr;
-  return prof_detail::g_registry.load(std::memory_order_relaxed);
-}
-
-/// Gate for sites that have no registry pointer handy (BufferPool).
-inline bool prof_counting() {
-  return prof_detail::g_active_runs.load(std::memory_order_relaxed) > 0;
-}
-
-/// Grows the registry to cover at least `carriers` lanes (never
-/// shrinks).  Called by the executor with its worker count before a
-/// profiled run and whenever the pool is (re)spawned, so an active
-/// registry always covers every live carrier index.
-void prof_ensure_registry(int carriers);
-
-/// Refcounted activation: sites count only while >= 1 run wants
-/// profiling, so SKIL_PROF=off runs pay nothing even after a profiled
-/// run has populated the registry.
-void prof_activate();
-void prof_deactivate();
-
-/// RAII guard used by spmd_run_ref (exception-safe deactivation).
-class ProfActivation {
- public:
-  explicit ProfActivation(bool on) : on_(on) {
-    if (on_) prof_activate();
+  /// Zeroes every counter, one relaxed store each.
+  void reset() {
+    for (const auto& f : CarrierReport::fields())
+      std::atomic_ref(counts.*f.member).store(0, std::memory_order_relaxed);
   }
-  ~ProfActivation() {
-    if (on_) prof_deactivate();
-  }
-  ProfActivation(const ProfActivation&) = delete;
-  ProfActivation& operator=(const ProfActivation&) = delete;
-
- private:
-  bool on_;
 };
 
-/// BufferPool arena accounting (process-wide; the pool is shared by
-/// all carriers and its own mutex serializes acquires).
+/// BufferPool arena accounting, booked on the Proc that called
+/// BufferPool::share (Proc::pool_counters).
 struct PoolCounters {
   std::uint64_t acquires = 0;
   std::uint64_t hits = 0;
@@ -172,18 +119,10 @@ struct PoolCounters {
   }
 };
 
-/// Out-of-line so buffer_pool.h only pays a call on profiled runs.
-void prof_note_pool_acquire(bool hit, std::uint64_t bytes);
-PoolCounters prof_pool_counters();
-
-/// A point-in-time copy of every registry lane's counters, used for
-/// before/after deltas.
-std::vector<CarrierReport> prof_snapshot();
-
 /// The per-run scheduler report carried on RunResult and exported as
 /// the `scheduler` object of the metrics JSON.  `carriers` is 0 for
 /// the threads engine (no carrier pool), but pool counters are still
-/// reported there.
+/// reported there.  `pool` is the sum of the run's Proc counters.
 struct SchedulerReport {
   ProfMode mode = ProfMode::kOff;
   int carriers = 0;

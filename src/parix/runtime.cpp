@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
 #include <exception>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -107,6 +109,24 @@ std::exception_ptr run_on_threads(Machine& machine,
 
 }  // namespace
 
+void require_env_knobs(std::string_view program) {
+  try {
+    default_execution_engine();
+    default_charge_path();
+    default_settle_mode();
+    default_fuse_mode();
+    default_trace_mode();
+    default_prof_mode();
+    default_coll_mode();
+    executor_carriers();
+  } catch (const support::ContractError& err) {
+    std::fprintf(stderr, "%s: %s\n",
+                 std::filesystem::path(program).filename().c_str(),
+                 err.what());
+    std::exit(2);
+  }
+}
+
 ExecutionEngine default_execution_engine() { return default_engine_slot(); }
 
 void set_default_execution_engine(ExecutionEngine engine) {
@@ -122,8 +142,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
   procs.reserve(config.nprocs);
   for (int p = 0; p < config.nprocs; ++p) {
     procs.push_back(std::make_unique<Proc>(machine, p));
-    procs.back()->set_settle_mode(config.settle);
-    procs.back()->set_fuse_mode(config.fuse);
     procs.back()->set_coll_mode(config.coll);
   }
 
@@ -149,26 +167,17 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     }
   }
 
-  // Host scheduler counters (parix/prof.h): size the carrier registry
-  // before the run so the scheduler's counter sites never index past
-  // it, then activate the sites for the duration of the run (RAII --
-  // the failure rethrow below must not leave them hot).
-  const bool prof_on = config.prof != ProfMode::kOff;
-  const bool prof_pooled = prof_on && engine == ExecutionEngine::kPooled;
-  if (prof_pooled) executor_prof_prepare();
-  const ProfActivation prof_active(prof_on);
-  const std::vector<CarrierReport> prof_before =
-      prof_on ? prof_snapshot() : std::vector<CarrierReport>{};
-  const PoolCounters pool_before =
-      prof_on ? prof_pool_counters() : PoolCounters{};
+  // Host scheduler counters (parix/prof.h): a profiled pooled run
+  // gets its carrier lanes back from the executor.
+  const ProfMode prof = default_prof_mode();
+  std::vector<CarrierReport> lanes;
 
   std::exception_ptr first_failure;
-  const SettleCounters settle_before = settle_counters();
-  const FusionCounters fusion_before = fusion_counters();
   const auto wall_start = std::chrono::steady_clock::now();
   if (engine == ExecutionEngine::kPooled) {
     machine.set_fiber_wait(true);
-    first_failure = executor_run(machine, procs, body);
+    first_failure = executor_run(machine, procs, body,
+                                 prof != ProfMode::kOff ? &lanes : nullptr);
   } else {
     first_failure = run_on_threads(machine, procs, body);
   }
@@ -180,7 +189,11 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     for (int p = 0; p < config.nprocs; ++p)
       trace->procs[p].finalize(procs[p]->vtime());
 
+  // Every counter belongs to the processor that booked it; the run's
+  // are their sums.  Reading vtime() settles the ledger first, so the
+  // settle counters are final here.
   RunResult result;
+  PoolCounters pool;
   result.proc_vtimes.reserve(config.nprocs);
   result.proc_stats.reserve(config.nprocs);
   for (const auto& proc : procs) {
@@ -188,34 +201,26 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     result.proc_stats.push_back(proc->stats());
     result.total += proc->stats();
     result.coll += proc->coll_counters();
+    support::add(result.settle, proc->settle_counters());
+    support::add(result.fusion, proc->fusion_counters());
+    support::add(pool, proc->pool_counters());
   }
   result.vtime_us =
       *std::max_element(result.proc_vtimes.begin(), result.proc_vtimes.end());
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   result.trace = std::move(trace);
-  // Counter deltas over the run window (process-wide atomics; see the
-  // RunResult field comments for the concurrency caveat).
-  result.settle = support::sub(settle_counters(), settle_before);
   result.gang.inline_adds = result.settle.inline_adds;
-  result.fusion = support::sub(fusion_counters(), fusion_before);
-  if (prof_on) {
+  if (prof != ProfMode::kOff) {
     SchedulerReport& sched = result.scheduler;
-    sched.mode = config.prof;
+    sched.mode = prof;
     sched.wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(wall_end -
                                                              wall_start)
             .count());
-    // Per-carrier deltas, trimmed to the carriers that actually ran
-    // (the registry never shrinks, so stale wider lanes are all-zero).
-    const int carriers = prof_pooled ? executor_carriers() : 0;
-    sched.carriers = carriers;
-    const std::vector<CarrierReport> after = prof_snapshot();
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(carriers) && i < after.size(); ++i)
-      sched.per_carrier.push_back(support::sub(
-          after[i], i < prof_before.size() ? prof_before[i] : CarrierReport{}));
-    sched.pool = support::sub(prof_pool_counters(), pool_before);
+    sched.carriers = static_cast<int>(lanes.size());
+    sched.per_carrier = std::move(lanes);
+    sched.pool = pool;
   }
   return result;
 }

@@ -56,7 +56,17 @@ void set_default_execution_engine(ExecutionEngine engine);
 /// anything but "threads" / "pooled".
 ExecutionEngine parse_execution_engine(std::string_view name);
 
-/// Configuration of one SPMD run.
+/// Resolves every SKIL_* runtime knob now: engine, charge path,
+/// settlement, fusion, tracing, profiler, collectives and carriers.
+/// A bad value is a usage error, not a crash: this prints
+/// "<program>: <the parser's message>" to stderr and exits with
+/// status 2.  The benches and examples call it before any work.
+void require_env_knobs(std::string_view program);
+
+/// Configuration of one SPMD run.  Settlement, fusion and profiling
+/// are not per-run fields: each run takes the process defaults
+/// (SKIL_SETTLE / SKIL_FUSE / SKIL_PROF, or set_default_settle_mode,
+/// set_default_fuse_mode and set_default_prof_mode) when it starts.
 struct RunConfig {
   int nprocs = 4;
   CostModel cost = CostModel::t800();
@@ -65,25 +75,11 @@ struct RunConfig {
   /// a single untaken branch per communication/span site, so virtual
   /// times are bit-identical across all modes.
   TraceMode trace = default_trace_mode();
-  /// Ledger settlement strategy (charge_tape.h, SKIL_SETTLE).  Both
-  /// modes retire the identical dependent add chain, so virtual times
-  /// are bit-identical across them.
-  SettleMode settle = default_settle_mode();
-  /// Skeleton-composition fusion (charge_tape.h, SKIL_FUSE).  Unlike
-  /// the knobs above this one legitimately moves virtual time: kOn
-  /// runs recognised compositions as one fused pass (same array
-  /// results, fewer charges and collective rounds -> lower vtimes).
-  FuseMode fuse = default_fuse_mode();
-  /// Host scheduler counters (parix/prof.h, SKIL_PROF).  kOff costs
-  /// one untaken branch per scheduler site; every mode reads host
-  /// clocks/counters only and never feeds virtual time, so vtimes are
-  /// bit-identical across modes.
-  ProfMode prof = default_prof_mode();
   /// Collective-algorithm family (parix/coll.h, SKIL_COLL).  Like
-  /// fusion this knob legitimately moves virtual time: array results
-  /// stay bit-identical across modes, but the non-tree algorithms
-  /// change the communication schedule (fewer/cheaper rounds), so
-  /// each mode has its own pinned vtime goldens.
+  /// fusion (SKIL_FUSE) this knob legitimately moves virtual time:
+  /// array results stay bit-identical across modes, but the non-tree
+  /// algorithms change the communication schedule (fewer/cheaper
+  /// rounds), so each mode has its own pinned vtime goldens.
   CollMode coll = default_coll_mode();
 };
 
@@ -102,10 +98,10 @@ struct RunResult {
   /// Event trace (null unless RunConfig::trace != kOff).  Hand it to
   /// the exporters in parix/metrics.h.
   std::shared_ptr<const Trace> trace;
-  /// Settlement-counter delta over this run (charge_tape.h).  The
-  /// underlying counters are process-wide, so concurrent runs in one
-  /// process see each other's activity; single-run processes (tests,
-  /// the forked bench cells) read them as exact per-run numbers.
+  /// Settlement counters summed over all processors (charge_tape.h).
+  /// Like every counter below, each processor booked its own, so a
+  /// run reports its own work alone: a nested run or a concurrent run
+  /// on another host thread never shows up in it.
   SettleCounters settle;
   /// Stays for the benchmark harness: gang_adds is always 0 and
   /// inline_adds repeats settle.inline_adds.
@@ -114,17 +110,16 @@ struct RunResult {
     std::uint64_t inline_adds = 0;
   };
   SettleAdds gang;
-  /// Fusion-counter delta over this run, same caveat.  All zero under
+  /// Fusion counters summed over all processors.  All zero under
   /// FuseMode::kOff (the off path never consults the fused variants).
   FusionCounters fusion;
   /// Collective counters summed over all processors (parix/coll.h):
   /// which algorithm every collective call resolved to, plus bytes,
-  /// hop distances and rounds per op.  Per-proc, not process-wide, so
-  /// these are exact even with concurrent runs in one process.
+  /// hop distances and rounds per op.
   CollectiveCounters coll;
   /// Host scheduler report (parix/prof.h).  mode == kOff when the run
   /// was unprofiled (then everything else in it is zero); carriers ==
-  /// 0 under the threads engine, where pool/memo totals still apply.
+  /// 0 under the threads engine, where the pool totals still apply.
   SchedulerReport scheduler;
 
   double vtime_seconds() const { return vtime_us * 1e-6; }

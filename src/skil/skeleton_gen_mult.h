@@ -123,8 +123,11 @@ std::pair<std::vector<T>, std::vector<T>> gen_mult_rounds(
   // clock.  The process-wide pool recycles vector nodes drained by
   // the receiver, and keeps them warm across sweep cells.
   parix::BufferPool<T>& pool = parix::process_buffer_pool<T>();
-  std::shared_ptr<const std::vector<T>> a_buf = pool.share(std::move(a_block));
-  std::shared_ptr<const std::vector<T>> b_buf = pool.share(std::move(b_block));
+  parix::PoolCounters& pool_counts = proc.pool_counters();
+  std::shared_ptr<const std::vector<T>> a_buf =
+      pool.share(std::move(a_block), pool_counts);
+  std::shared_ptr<const std::vector<T>> b_buf =
+      pool.share(std::move(b_block), pool_counts);
 
   const int a_dst = topo.torus_neighbor(proc.id(), 0, -1);
   const int a_src = topo.torus_neighbor(proc.id(), 0, +1);
@@ -203,8 +206,9 @@ std::pair<std::vector<T>, std::vector<T>> gen_mult_rounds(
     // rotations return the blocks to their skewed start, which the
     // unskew below undoes).
     if (rotating) {
-      a_buf = pool.share(proc.recv<std::vector<T>>(a_src, tag));
-      b_buf = pool.share(proc.recv<std::vector<T>>(b_src, tag + 1));
+      a_buf = pool.share(proc.recv<std::vector<T>>(a_src, tag), pool_counts);
+      b_buf = pool.share(proc.recv<std::vector<T>>(b_src, tag + 1),
+                         pool_counts);
     }
   }
 
@@ -247,11 +251,11 @@ void array_gen_mult(DistArray<T>& a, DistArray<T>& b, Add gen_add,
     // caller's arrays were never modified).  Under fusion the
     // restoring rotation is elided -- one communication round fewer,
     // with no observable difference in any array.
-    parix::note_fusion_fused(/*barriers=*/1, /*tapes=*/0);
+    parix::note_fusion_fused(proc, /*barriers=*/1, /*tapes=*/0);
     return;
   }
   if (proc.fuse_mode() == parix::FuseMode::kOn)
-    parix::note_fusion_rejected(parix::FusionReject::kPath);
+    parix::note_fusion_rejected(proc, parix::FusionReject::kPath);
 
   // Unskew (restores the caller's a and b placements).
   a_done = detail::torus_rotate_by(proc, topo, std::move(a_done), 0, my_row);
@@ -294,9 +298,9 @@ bool array_gen_mult_squared(DistArray<T>& a, Add gen_add, Mult gen_mult,
   if (!proc.fusing() || !std::is_integral_v<T>) {
     if (fuse_on) {
       if (proc.fusing())
-        parix::note_fusion_rejected(parix::FusionReject::kOrder);
+        parix::note_fusion_rejected(proc, parix::FusionReject::kOrder);
       else
-        parix::note_fusion_rejected(parix::FusionReject::kPath);
+        parix::note_fusion_rejected(proc, parix::FusionReject::kPath);
     }
     array_copy(a, scratch);
     array_gen_mult(a, scratch, gen_add, gen_mult, c);
@@ -319,7 +323,7 @@ bool array_gen_mult_squared(DistArray<T>& a, Add gen_add, Mult gen_mult,
 
   detail::gen_mult_rounds(proc, topo, block, std::move(a_block),
                           std::move(b_block), c.local(), gen_add, gen_mult);
-  parix::note_fusion_fused(/*barriers=*/1, /*tapes=*/2);
+  parix::note_fusion_fused(proc, /*barriers=*/1, /*tapes=*/2);
   return true;
 }
 

@@ -2,10 +2,9 @@
 //
 // A counter struct lists its counters once, in a static constexpr
 // `fields()` table of (JSON name, member pointer) entries written next
-// to the members, in report order.  Sums, before/after deltas and the
-// JSON objects of the metrics and BENCH reports all derive from that
-// table, so adding a counter is one member plus one table entry
-// (DESIGN.md section 17).
+// to the members, in report order.  Sums and the JSON objects of the
+// metrics and BENCH reports derive from that table, so adding a
+// counter is one member plus one table entry (DESIGN.md section 17).
 #pragma once
 
 #include <concepts>
@@ -35,22 +34,6 @@ template <class S>
 S& add(S& into, const S& from) {
   for (const auto& f : S::fields()) into.*f.member += from.*f.member;
   return into;
-}
-
-/// The change from `before` to `after`, counter by counter.
-template <class S>
-S sub(S after, const S& before) {
-  for (const auto& f : S::fields()) after.*f.member -= before.*f.member;
-  return after;
-}
-
-/// Position of `member` in its struct's table.
-template <class S, class T>
-constexpr std::size_t field_index(T S::*member) {
-  const auto table = S::fields();
-  std::size_t i = 0;
-  while (table[i].member != member) ++i;  // past the end: not a constant
-  return i;
 }
 
 /// Appends one JSON object to `out` in the compact layout of the

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "apps/gauss.h"
+#include "apps/shortest_paths.h"
 #include "parix/runtime.h"
+#include "parix_golden_cases.h"
 #include "support/error.h"
 
 namespace {
@@ -236,6 +241,91 @@ TEST(CostModelDefaults, SyncVariantDiffersOnlyInSendMode) {
   EXPECT_EQ(async.default_send_mode, SendMode::kAsync);
   EXPECT_EQ(sync.default_send_mode, SendMode::kSync);
   EXPECT_DOUBLE_EQ(async.msg_startup_us, sync.msg_startup_us);
+}
+
+// --- every counter belongs to the run that did the work -------------------
+
+/// Settlement, fusion and collective counters of one run, field by
+/// field.  Under the threads engine every processor settles on a fresh
+/// thread (a fresh settlement memo), so even the memo split repeats.
+void expect_same_counters(const RunResult& got, const RunResult& alone) {
+  for (const auto& f : SettleCounters::fields())
+    EXPECT_EQ(got.settle.*f.member, alone.settle.*f.member) << f.name;
+  EXPECT_EQ(got.fusion, alone.fusion);
+  EXPECT_EQ(got.coll, alone.coll);
+}
+
+/// Runs `fn` with fusion on, the tree collectives the golden cells pin
+/// and the threads engine as process defaults, so the fusion counters
+/// are not trivially zero and every settlement memo starts fresh.
+template <class Fn>
+auto with_counting_defaults(Fn&& fn) {
+  using namespace skil::testing;
+  return with_engine(ExecutionEngine::kThreads, [&] {
+    return with_fuse_mode(FuseMode::kOn, [&] {
+      return with_coll_mode(CollMode::kTree, fn);
+    });
+  });
+}
+
+RunResult gauss_cell() {
+  return skil::apps::gauss_skil(4, 64, skil::testing::kGoldenSeed, false).run;
+}
+
+RunResult shpaths_cell() {
+  return skil::apps::shpaths_skil(4, 32, skil::testing::kGoldenSeed).run;
+}
+
+TEST(RunCounters, NestedRunIsNotCountedByTheOuterRun) {
+  struct Pair {
+    RunResult alone, nested, outer;
+  };
+  const Pair runs = with_counting_defaults([] {
+    Pair pair;
+    pair.alone = gauss_cell();
+    // The outer run is pooled; its body only nests a run, which drops
+    // to the threads engine inside the fiber.
+    RunConfig config{1, CostModel::t800()};
+    config.engine = ExecutionEngine::kPooled;
+    pair.outer = spmd_run(config, [&](Proc&) { pair.nested = gauss_cell(); });
+    return pair;
+  });
+  EXPECT_GT(runs.alone.settle.total_adds(), 0u);
+  EXPECT_GT(runs.alone.fusion.seen, 0u);
+  expect_same_counters(runs.nested, runs.alone);
+  EXPECT_EQ(runs.outer.settle.total_adds(), 0u);
+  EXPECT_EQ(runs.outer.fusion, FusionCounters{});
+  EXPECT_EQ(runs.outer.coll, CollectiveCounters{});
+}
+
+TEST(RunCounters, ConcurrentRunsCountOnlyTheirOwnWork) {
+  struct Runs {
+    RunResult gauss_alone, shpaths_alone, gauss, shpaths;
+  };
+  const Runs runs = with_counting_defaults([] {
+    Runs r;
+    r.gauss_alone = gauss_cell();
+    r.shpaths_alone = shpaths_cell();
+    // Both runs start at the barrier, so they overlap on the host.
+    std::barrier start(2);
+    std::thread other([&] {
+      start.arrive_and_wait();
+      r.shpaths = shpaths_cell();
+    });
+    start.arrive_and_wait();
+    r.gauss = gauss_cell();
+    other.join();
+    return r;
+  });
+  {
+    SCOPED_TRACE("gauss");
+    expect_same_counters(runs.gauss, runs.gauss_alone);
+  }
+  {
+    SCOPED_TRACE("shpaths");
+    expect_same_counters(runs.shpaths, runs.shpaths_alone);
+  }
+  EXPECT_NE(runs.gauss.settle.total_adds(), runs.shpaths.settle.total_adds());
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 #include "parix/executor.h"
 #include "parix/runtime.h"
 #include "skil/skil.h"
+#include "support/fields.h"
 
 namespace {
 
@@ -273,7 +274,7 @@ TEST(GangFuzz, RandomTapedCompositionsBitIdenticalAcrossPaths) {
   // ledgers of different processors concurrently.
   const parix::SettleMode saved_settle = parix::default_settle_mode();
   parix::set_default_settle_mode(parix::SettleMode::kChain);
-  const std::uint64_t chain_before = parix::settle_counters().inline_adds;
+  std::uint64_t inline_adds = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const ProgramSpec prog = make_program(seed * 0x9E3779B97F4A7C15ull + 1);
     SCOPED_TRACE(::testing::Message()
@@ -294,6 +295,8 @@ TEST(GangFuzz, RandomTapedCompositionsBitIdenticalAcrossPaths) {
         parix::ExecutionEngine::kPooled,
         [&] { return run_program(prog, /*taped=*/true); });
     parix::executor_set_carriers(0);
+    inline_adds += interp.settle.inline_adds + tape_one.settle.inline_adds +
+                   tape_four.settle.inline_adds;
 
     ASSERT_EQ(interp.proc_vtimes.size(), static_cast<std::size_t>(prog.p));
     ASSERT_EQ(tape_one.proc_vtimes.size(), interp.proc_vtimes.size());
@@ -310,7 +313,7 @@ TEST(GangFuzz, RandomTapedCompositionsBitIdenticalAcrossPaths) {
   // The taped runs must have settled real deferred adds through the
   // chain; otherwise this test only exercised eager charging and the
   // three-way identity would be vacuous for the ledger.
-  EXPECT_GT(parix::settle_counters().inline_adds, chain_before);
+  EXPECT_GT(inline_adds, 0u);
 }
 
 TEST(GangFuzz, ClosedAndAutoSettlementBitIdenticalVsInterp) {
@@ -326,7 +329,7 @@ TEST(GangFuzz, ClosedAndAutoSettlementBitIdenticalVsInterp) {
   // interleavings of all three.  All paths must agree with interp to
   // the last bit.
   const parix::SettleMode saved_settle = parix::default_settle_mode();
-  const parix::SettleCounters before = parix::settle_counters();
+  parix::SettleCounters seen;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const ProgramSpec prog = make_program(seed * 0xD1B54A32D192ED03ull + 5);
     SCOPED_TRACE(::testing::Message()
@@ -349,6 +352,8 @@ TEST(GangFuzz, ClosedAndAutoSettlementBitIdenticalVsInterp) {
         parix::ExecutionEngine::kPooled,
         [&] { return run_program(prog, /*taped=*/true); });
     parix::executor_set_carriers(0);
+    for (const parix::RunResult* run : {&interp, &tape_one, &tape_four})
+      support::add(seen, run->settle);
 
     ASSERT_EQ(interp.proc_vtimes.size(), static_cast<std::size_t>(prog.p));
     ASSERT_EQ(tape_one.proc_vtimes.size(), interp.proc_vtimes.size());
@@ -366,12 +371,10 @@ TEST(GangFuzz, ClosedAndAutoSettlementBitIdenticalVsInterp) {
   // declined every record: the counters must show closed-form walks,
   // cross-replay memo traffic (the same tape settles once per
   // processor and map call), and chain-bound records all really ran.
-  const parix::SettleCounters after = parix::settle_counters();
-  EXPECT_GT(after.closed_runs, before.closed_runs);
-  EXPECT_GT(after.memo_hits, before.memo_hits);
-  EXPECT_GT(after.closed_adds + after.memo_adds,
-            before.closed_adds + before.memo_adds);
-  EXPECT_GT(after.chain_records, before.chain_records);
+  EXPECT_GT(seen.closed_runs, 0u);
+  EXPECT_GT(seen.memo_hits, 0u);
+  EXPECT_GT(seen.closed_adds + seen.memo_adds, 0u);
+  EXPECT_GT(seen.chain_records, 0u);
 }
 
 }  // namespace
